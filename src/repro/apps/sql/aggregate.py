@@ -54,8 +54,10 @@ from ...obs import traced_op
 from ..streaming import WIDTH_DTYPE, ref_dtype, ref_width, stream_columns
 from .costs import (
     AGG_CYCLES_PER_ROW,
+    BROADCAST_PIECE_BYTES,
     MERGE_CYCLES_PER_GROUP,
     SW_PARTITION_CYCLES_PER_ROW_COL,
+    low_ndv_tile_rows,
 )
 from .engine import DpuOpResult, XeonOpResult
 from .expr import Predicate
@@ -324,7 +326,7 @@ def _load_broadcasts(ctx, broadcasts, dmem_offset: int):
         cursor = dmem_offset
         remaining = broadcast.nbytes
         while remaining > 0:
-            piece = min(remaining, 8192)
+            piece = min(remaining, BROADCAST_PIECE_BYTES)
             ctx.push(
                 Descriptor(
                     dtype=DescriptorType.DDR_TO_DMEM,
@@ -346,7 +348,8 @@ def _broadcast_bytes(broadcasts) -> int:
     return sum(broadcast.nbytes for broadcast in broadcasts)
 
 
-@traced_op("sql.groupby")
+@traced_op("sql.groupby", result_attrs=lambda result: {
+    "cores": result.detail["cores"]})
 def dpu_groupby(
     dpu: DPU,
     dtable: DpuTable,
@@ -358,6 +361,7 @@ def dpu_groupby(
     budget: Optional[DmemBudget] = None,
     broadcasts: Tuple[Broadcast, ...] = (),
     governor=None,
+    cores: Optional[int] = None,
 ) -> DpuOpResult:
     """Group ``dtable`` by ``key`` computing ``aggs`` on the DPU.
 
@@ -365,6 +369,11 @@ def dpu_groupby(
     gates the software-partition strategy's DDR bucket footprint; see
     :func:`_groupby_one_sw_round`. ``None`` preserves the ungoverned
     plan and its timing exactly.
+
+    ``cores`` is the low-NDV strategy's fan-out: it scans on the first
+    ``cores`` dpCores (the physical planner picks it per shard, see
+    :meth:`~repro.apps.sql.costs.FanoutModel.choose`). ``None`` means
+    every core. The partitioned strategies always use every core.
     """
     budget = budget or DmemBudget()
     filt = _as_row_filter(row_filter)
@@ -385,9 +394,18 @@ def dpu_groupby(
             f"this key needs {plan.partitions_needed} partitions — "
             "materialize the key column first"
         )
+    all_cores = len(dpu.config.core_ids)
+    fanout = all_cores if cores is None else int(cores)
+    if not 1 <= fanout <= all_cores:
+        raise ValueError(f"cores must be in 1..{all_cores}, got {cores}")
+    if plan.partitions_needed > 1 and fanout != all_cores:
+        raise ValueError(
+            f"{plan.partitions_needed} partitions need every core; "
+            f"a {fanout}-core fan-out only applies to low-NDV group-bys"
+        )
     if plan.partitions_needed <= 1:
         result, cycles, nbytes = _groupby_low_ndv(
-            dpu, dtable, key, aggs, filt, tile_rows, broadcasts
+            dpu, dtable, key, aggs, filt, tile_rows, broadcasts, fanout
         )
     elif plan.partitions_needed <= 32:
         result, cycles, nbytes = _groupby_hw_partitioned(
@@ -414,6 +432,7 @@ def dpu_groupby(
             "partitions_needed": plan.partitions_needed,
             "sw_rounds": plan.dpu_sw_rounds,
             "groups": len(result),
+            "cores": fanout,
         },
     )
 
@@ -422,20 +441,18 @@ def dpu_groupby(
 
 
 def _groupby_low_ndv(dpu, dtable, key, aggs, row_filter, tile_rows,
-                     broadcasts=()):
+                     broadcasts, fanout):
     names = _needed_columns(key, aggs, row_filter)
     refs = dtable.column_refs(names)
     rows = dtable.num_rows
-    cores = list(dpu.config.core_ids)
+    cores = list(dpu.config.core_ids)[:fanout]
     filter_cycles = row_filter.dpu_cycles_per_row if row_filter else 0.0
     key_cycles = key.cycles_per_row if isinstance(key, GroupKey) else 0.0
     agg_cycles = _agg_cycles(aggs) + key_cycles
     bcast_bytes = _broadcast_bytes(broadcasts)
     # Broadcasts live at the top of DMEM; shrink stream tiles to fit.
-    stream_budget = 30 * 1024 - bcast_bytes
     row_bytes = sum(ref_width(spec) for _addr, spec in refs)
-    tile_rows = min(tile_rows,
-                    max(64, (stream_budget // (2 * row_bytes)) // 64 * 64))
+    tile_rows = low_ndv_tile_rows(row_bytes, bcast_bytes, tile_rows)
 
     def kernel(ctx):
         lo, hi = static_partition(rows, len(cores), ctx.core_id)

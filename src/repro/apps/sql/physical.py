@@ -17,10 +17,13 @@ physical shape — a single streaming group-by over the fact table:
   determined columns, evaluates aggregate arithmetic (``avg``,
   ratios), sorts deterministically and applies LIMIT.
 
-The cost model makes two recorded decisions per query: DPU offload vs
-the Xeon baseline (``DbmsCostModel`` roofline vs the DPU streaming
-estimate) and all-to-all shuffle vs pre-aggregate exchange for the
-cluster run (``ShuffleRackModel.job_cycles`` at the target fan-out).
+The cost model makes three recorded decisions per query: DPU offload
+vs the Xeon baseline (``DbmsCostModel`` roofline vs the DPU streaming
+estimate), all-to-all shuffle vs pre-aggregate exchange for the
+cluster run (``ShuffleRackModel.job_cycles`` at the target fan-out),
+and how many dpCores a low-NDV scan spreads over
+(:class:`~repro.apps.sql.costs.FanoutModel`, taken per shard from its
+row count at run time).
 """
 
 from __future__ import annotations
@@ -32,17 +35,25 @@ import numpy as np
 
 from ...baseline.dbms import DbmsCostModel, ScanShape
 from ...baseline.xeon import XeonModel
-from ...core.config import DPUConfig
+from ...core.config import DPU_40NM, DPUConfig
 from .aggregate import (
     AggSpec,
     GroupKey,
     GroupTable,
     RowFilter,
+    _agg_cycles,
+    _as_row_filter,
     _needed_columns,
     dpu_groupby,
     xeon_groupby,
 )
-from .costs import AGG_CYCLES_PER_ROW, FILTER_CYCLES_PER_TUPLE
+from .costs import (
+    AGG_CYCLES_PER_ROW,
+    FANOUT_MIN_SAVING,
+    FILTER_CYCLES_PER_TUPLE,
+    LOW_NDV_STREAM_BYTES,
+    FanoutModel,
+)
 from .engine import DpuOpResult, XeonOpResult
 from .expr import And, Between, Ge, InSet, Le, Or, Predicate
 from .ir import (
@@ -67,13 +78,12 @@ from .join import (
     key_bitmap,
 )
 from .planner import DmemBudget, plan_partitioning
-from .table import Table
+from .table import DpuTable, Table
 
 __all__ = ["CompiledQuery", "lower_plan", "tpch_catalog"]
 
 _XEON_PROBE_OPS_PER_ROW = 4.0
 _HW_BROADCAST_LIMIT = 12 * 1024  # aggregate.py's hw-partitioned ceiling
-_LOW_NDV_STREAM_BYTES = 30 * 1024  # low-NDV streaming DMEM budget
 _EXCHANGE_FANOUT = 8  # the cluster width the exchange choice targets
 
 
@@ -382,6 +392,9 @@ class CompiledQuery:
     # were built from that snapshot, so a plan is only valid while the
     # catalog still carries this version (see repro.serve.PlanCache).
     catalog_version: int = 0
+    # Prices the low-NDV scan's dpCore fan-out; None for partitioned
+    # group-bys, which scatter over every core.
+    fanout_model: Optional[FanoutModel] = None
 
     @property
     def batch_key(self) -> Tuple[str, int]:
@@ -411,14 +424,28 @@ class CompiledQuery:
             for name, arr in self.broadcasts
         )
 
-    def run_dpu(self, dpu, data) -> DpuOpResult:
-        table = Table(self.fact, self._fact_columns(data))
-        dtable = table.to_dpu(dpu)
-        result = dpu_groupby(
+    def fanout(self, rows: int,
+               config: DPUConfig = DPU_40NM) -> Optional[int]:
+        """dpCores for scanning a ``rows``-row shard (None: every core)."""
+        if self.fanout_model is None:
+            return None
+        return self.fanout_model.choose(rows, config)
+
+    def scan(self, dpu, dtable: DpuTable) -> DpuOpResult:
+        """The compiled group-by over a table resident on ``dpu``, at
+        the fan-out the cost model picks for its row count: the one
+        execution path of :meth:`run_dpu`, :meth:`run_local` and shared
+        scans."""
+        return dpu_groupby(
             dpu, dtable, self.key, self.aggs,
             row_filter=self.row_filter,
             broadcasts=self._dpu_broadcasts(dpu),
+            cores=self.fanout(dtable.num_rows, dpu.config),
         )
+
+    def run_dpu(self, dpu, data) -> DpuOpResult:
+        table = Table(self.fact, self._fact_columns(data))
+        result = self.scan(dpu, table.to_dpu(dpu))
         return DpuOpResult(
             value=self.finish(result.value),
             cycles=result.cycles,
@@ -450,21 +477,24 @@ class CompiledQuery:
         return self.run_xeon(model, data)
 
     def run_local(self, dpu, columns: Dict[str, np.ndarray],
-                  shard_name: str = "shard") -> Tuple[GroupTable, float]:
+                  shard_name: str = "shard",
+                  resident: Optional[DpuTable] = None,
+                  ) -> Tuple[GroupTable, float]:
         """One shard / shuffle slot of the cluster run: raw partial
-        groups + cycles (the coordinator merges and finishes)."""
+        groups + cycles (the coordinator merges and finishes).
+
+        ``resident`` is ``columns`` already stored on ``dpu`` with at
+        least this query's needed columns (a shared scan stores the
+        union of a batch's columns once); the scan streams from it
+        instead of storing the shard again."""
         if not columns or len(next(iter(columns.values()))) == 0:
             return {}, 0.0
-        table = Table(
-            f"{self.fact}_{shard_name}",
-            {name: columns[name] for name in self.needed_columns},
-        )
-        dtable = table.to_dpu(dpu)
-        result = dpu_groupby(
-            dpu, dtable, self.key, self.aggs,
-            row_filter=self.row_filter,
-            broadcasts=self._dpu_broadcasts(dpu),
-        )
+        if resident is None:
+            resident = Table(
+                f"{self.fact}_{shard_name}",
+                {name: columns[name] for name in self.needed_columns},
+            ).to_dpu(dpu)
+        result = self.scan(dpu, resident)
         return result.value, result.cycles
 
     def scan_shape(self, rows: int, nbytes: int) -> ScanShape:
@@ -943,7 +973,7 @@ def lower_plan(plan: LogicalPlan, catalog: Catalog) -> CompiledQuery:
                              for name in key.columns})
     else:
         key_values = fact_columns[key]
-    ndv = int(len(np.unique(key_values))) if rows else 1
+    ndv = _distinct(key_values) if rows else 1
     record_bytes = 8 + 8 * len(slots)
     partition_plan = plan_partitioning(ndv, record_bytes, DmemBudget())
     broadcast_bytes = sum(arr.nbytes for _name, arr in ctx.broadcasts)
@@ -958,7 +988,7 @@ def lower_plan(plan: LogicalPlan, catalog: Catalog) -> CompiledQuery:
                 f"broadcast footprint {broadcast_bytes}B exceeds the "
                 f"{_HW_BROADCAST_LIMIT}B hardware-partitioned budget",
                 query=plan.text, clause="broadcast footprint")
-    elif broadcast_bytes >= _LOW_NDV_STREAM_BYTES - 4096:
+    elif broadcast_bytes >= LOW_NDV_STREAM_BYTES - 4096:
         raise PlanError(
             f"broadcast footprint {broadcast_bytes}B leaves no streaming "
             "DMEM", query=plan.text, clause="broadcast footprint")
@@ -980,6 +1010,12 @@ def lower_plan(plan: LogicalPlan, catalog: Catalog) -> CompiledQuery:
         rows * cycles_per_row / dpu_config.num_cores,
         nbytes / dpu_config.ddr_peak_bytes_per_cycle,
     ) / dpu_config.clock_hz
+
+    fanout_model = None
+    if partition_plan.partitions_needed <= 1:
+        fanout_model = _fanout_model(
+            key, slots, row_filter, key_values, fact_columns, needed,
+            filter_cycles, int(broadcast_bytes))
 
     groupby_flag = bool(plan.group_refs)
     plan_dict: Dict[str, Any] = {
@@ -1023,6 +1059,7 @@ def lower_plan(plan: LogicalPlan, catalog: Catalog) -> CompiledQuery:
         record_bytes=record_bytes,
         logical=plan,
         catalog_version=catalog.version,
+        fanout_model=fanout_model,
     )
 
     xeon_seconds = DbmsCostModel(XeonModel()).plan_seconds(
@@ -1036,8 +1073,56 @@ def lower_plan(plan: LogicalPlan, catalog: Catalog) -> CompiledQuery:
     }
     plan_dict["exchange"] = _plan_exchange(
         compiled, rows, ndv, fact_columns, needed)
+    plan_dict["fanout"] = _plan_fanout(compiled)
     plan_dict["logical"] = plan.describe()
     return compiled
+
+
+def _distinct(values: np.ndarray) -> int:
+    """Number of distinct values, by one sort (``np.unique`` is ~20x
+    slower on a low-cardinality key column)."""
+    if len(values) == 0:
+        return 0
+    ordered = np.sort(values)
+    return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+
+
+def _fanout_model(key, slots: List[AggSpec], row_filter,
+                  key_values: np.ndarray,
+                  fact_columns: Dict[str, np.ndarray],
+                  needed: Sequence[str], filter_cycles: float,
+                  broadcast_bytes: int) -> FanoutModel:
+    """The low-NDV scan's fan-out model, with the filter's selectivity
+    and the selected rows' group count measured on the fact table."""
+    rows = len(key_values)
+    filt = _as_row_filter(row_filter)
+    if filt is None or rows == 0:
+        selected = key_values
+    else:
+        mask = np.asarray(filt.mask_fn(
+            {name: fact_columns[name] for name in filt.columns}), dtype=bool)
+        selected = key_values[mask]
+    selectivity = len(selected) / rows if rows else 1.0
+    key_cycles = key.cycles_per_row if isinstance(key, GroupKey) else 0.0
+    return FanoutModel(
+        cycles_per_row=filter_cycles
+        + selectivity * (_agg_cycles(slots) + key_cycles),
+        column_bytes=tuple(
+            int(fact_columns[name].dtype.itemsize) for name in needed),
+        broadcast_bytes=broadcast_bytes,
+        selectivity=selectivity,
+        groups=max(1, _distinct(selected)),
+    )
+
+
+def _plan_fanout(compiled: CompiledQuery) -> Dict[str, Any]:
+    """Record the fan-out model's inputs; ``run_dpu`` / ``run_local``
+    choose from them per shard (:meth:`CompiledQuery.fanout`)."""
+    model = compiled.fanout_model
+    if model is None:
+        return {"cores": DPU_40NM.num_cores,
+                "reason": "partitioned group-bys scatter over every core"}
+    return {**model.as_dict(), "min_saving": FANOUT_MIN_SAVING}
 
 
 def _plan_exchange(compiled: CompiledQuery, rows: int, ndv: int,

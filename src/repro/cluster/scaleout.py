@@ -1006,8 +1006,11 @@ def cluster_batched_queries(
     def shard_partials(dpu, columns, label):
         """The shared scan: one union table stored per DPU; each
         query's group-by streams only its own needed columns from the
-        resident copy, so per-query results and cycles match the
-        standalone plan exactly."""
+        resident copy, at the fan-out a standalone run picks for the
+        shard. Per-query results are byte-equal to the standalone plan;
+        cycles equal a standalone scan of the same stored shard, except
+        that DRAM rows the previous query left open can save up to one
+        row miss per bank."""
         if not columns or len(next(iter(columns.values()))) == 0:
             return [{} for _ in batch], 0.0
         table = Table(f"{fact}_{label}",
@@ -1016,13 +1019,10 @@ def cluster_batched_queries(
         partials = []
         cycles = 0.0
         for compiled in batch:
-            local = dpu_groupby(
-                dpu, dtable, compiled.key, compiled.aggs,
-                row_filter=compiled.row_filter,
-                broadcasts=compiled._dpu_broadcasts(dpu),
-            )
-            partials.append(local.value)
-            cycles += local.cycles
+            groups, local_cycles = compiled.run_local(
+                dpu, columns, label, resident=dtable)
+            partials.append(groups)
+            cycles += local_cycles
         return partials, cycles
 
     def merge(accumulator, partials):

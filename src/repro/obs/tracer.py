@@ -36,7 +36,7 @@ import functools
 import io
 import json
 from collections import deque
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
     "NULL_TRACER",
@@ -205,13 +205,15 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
-def traced_op(name: str, unit: str = "sql"):
+def traced_op(name: str, unit: str = "sql",
+              result_attrs: Optional[Callable[[Any], Dict[str, Any]]] = None):
     """Decorator for host-side operators whose first argument is a DPU
     (or anything with a ``.trace``): wraps the call in a span on the
     given track, and feeds the op's simulated duration into the DPU's
     metrics hub latency digest (``<name>.cycles``) when one is
-    attached. With tracing and metrics disabled the only cost is two
-    attribute loads and truthiness tests."""
+    attached. ``result_attrs(result)`` adds span args taken from the
+    op's result. With tracing and metrics disabled the only cost is
+    two attribute loads and truthiness tests."""
 
     def wrap(fn):
         @functools.wraps(fn)
@@ -225,8 +227,10 @@ def traced_op(name: str, unit: str = "sql"):
                 return fn(dpu, *args, **kwargs)
             begin = engine.now if sampling else 0.0
             if trace.enabled:
-                with trace.span(name, unit=unit):
+                with trace.span(name, unit=unit) as span:
                     result = fn(dpu, *args, **kwargs)
+                    if result_attrs is not None:
+                        span.set(**result_attrs(result))
             else:
                 result = fn(dpu, *args, **kwargs)
             if sampling:

@@ -352,6 +352,53 @@ class TestBatchedQueries:
             assert rows == _reference_rows(query_texts, catalog, data,
                                            compiled.name, num_dpus)
 
+    @pytest.mark.parametrize("num_dpus", [1, 4])
+    def test_batch_local_cycles_match_standalone(self, data, catalog,
+                                                 query_texts, monkeypatch,
+                                                 num_dpus):
+        # Inside a shared scan each query scans the resident shard at
+        # the fan-out a standalone run picks for the same row count.
+        # Its local cycles equal a standalone run_local over the same
+        # stored shard on a fresh DPU (to the float rounding of the
+        # absolute clock the batch starts it at), except that a DRAM
+        # row the previous query left open can turn the first access
+        # to that bank into a hit: at most one row miss per bank.
+        from repro.apps.sql.physical import CompiledQuery
+        from repro.core import DPU
+
+        batch = [compile_query(query_texts[n], catalog, n)
+                 for n in QUERIES]
+        union = list(dict.fromkeys(
+            n for c in batch for n in c.needed_columns))
+        shards = [Table(s.name, {n: s.columns[n] for n in union})
+                  for s in _full_shards(data, num_dpus)]
+        in_batch = []
+        run_local = CompiledQuery.run_local
+
+        def recording(compiled, dpu, columns, shard_name="shard",
+                      resident=None):
+            groups, cycles = run_local(compiled, dpu, columns, shard_name,
+                                       resident)
+            in_batch.append((compiled, shard_name, cycles))
+            return groups, cycles
+
+        monkeypatch.setattr(CompiledQuery, "run_local", recording)
+        cluster_batched_queries(Cluster(num_dpus), batch, shards)
+        monkeypatch.setattr(CompiledQuery, "run_local", run_local)
+        assert len(in_batch) == len(batch) * num_dpus
+        config = DPU().config
+        carried = config.ddr_num_banks * config.ddr_row_miss_cycles
+        for position, (compiled, shard_name, cycles) in enumerate(in_batch):
+            shard = shards[int(shard_name[len("shard"):])]
+            dpu = DPU()
+            resident = Table(shard.name, shard.columns).to_dpu(dpu)
+            _groups, alone = compiled.run_local(
+                dpu, shard.columns, shard_name, resident=resident)
+            if position % len(batch) == 0:
+                assert cycles == pytest.approx(alone, rel=1e-12, abs=0.0)
+            else:
+                assert alone - carried - 1e-6 <= cycles <= alone + 1e-6
+
     def test_rejects_empty_batch(self, data):
         with pytest.raises(ValueError):
             cluster_batched_queries(Cluster(2), [],

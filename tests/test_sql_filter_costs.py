@@ -69,6 +69,14 @@ class TestPredicates:
         expected = ((a <= 5000) & (b >= 0)) | (b == -50)
         assert np.array_equal(mask, expected)
 
+    @pytest.mark.parametrize("members", [[7], [3, 250, 300], [-1, 0, 5, 9]])
+    def test_inset_mask_matches_isin(self, members):
+        values = np.random.default_rng(8).integers(0, 256, 4096).astype(
+            np.uint8)
+        mask = InSet("c", members).mask({"c": values})
+        assert mask.dtype == bool
+        assert np.array_equal(mask, np.isin(values, members))
+
     def test_inset_terms_count(self):
         assert InSet("a", [1, 2, 3]).filt_terms() == 3
         assert Between("a", 0, 1).filt_terms() == 1

@@ -168,6 +168,65 @@ class TestLowNdv:
             assert result.value[int(value)][0] == int((composite == value).sum())
 
 
+class TestLowNdvFanout:
+    """``cores`` spreads the low-NDV scan over the first k dpCores."""
+
+    @staticmethod
+    def _table():
+        rng = np.random.default_rng(6)
+        n = 6000
+        return Table("t", {
+            "g": rng.integers(0, 12, n).astype(np.int32),
+            "v": rng.integers(0, 100, n).astype(np.int32),
+        })
+
+    def _run(self, cores, trace=False):
+        table = self._table()
+        dpu = DPU()
+        tracer = dpu.enable_tracing() if trace else None
+        result = dpu_groupby(
+            dpu, table.to_dpu(dpu), "g",
+            [AggSpec("sum", "v"), AggSpec("count")], cores=cores,
+        )
+        return result, tracer
+
+    def test_default_is_every_core(self):
+        default, _ = self._run(None)
+        explicit, _ = self._run(32)
+        assert default.detail["cores"] == 32
+        assert default.cycles == explicit.cycles
+        assert default.value == explicit.value
+
+    @pytest.mark.parametrize("cores", [1, 3, 8])
+    def test_groups_independent_of_fanout(self, cores):
+        result, _ = self._run(cores)
+        assert result.detail["cores"] == cores
+        table = self._table()
+        check_against_host(result.value, host_groupby(table, "g", "v"))
+
+    def test_fanout_on_trace_span(self):
+        _result, tracer = self._run(4, trace=True)
+        spans = [e for e in tracer.to_chrome()["traceEvents"]
+                 if e.get("name") == "sql.groupby" and e.get("ph") == "X"]
+        assert [span["args"]["cores"] for span in spans] == [4]
+
+    @pytest.mark.parametrize("cores", [0, 33])
+    def test_rejects_out_of_range(self, cores):
+        with pytest.raises(ValueError, match="cores"):
+            self._run(cores)
+
+    def test_partitioned_strategy_needs_every_core(self):
+        rng = np.random.default_rng(5)
+        table = Table("t", {
+            "g": rng.integers(0, 20000, 64 * 1024).astype(np.int32),
+            "v": rng.integers(0, 100, 64 * 1024).astype(np.int32),
+        })
+        dpu = DPU()
+        with pytest.raises(ValueError, match="every core"):
+            dpu_groupby(dpu, table.to_dpu(dpu), "g", [AggSpec("count")],
+                        cores=8)
+
+
 class TestHwPartitioned:
     def test_mid_ndv_uses_hw_partition_and_matches(self):
         rng = np.random.default_rng(5)

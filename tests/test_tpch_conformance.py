@@ -3,11 +3,12 @@
 Every covered query compiles from the ``.sql`` text shipped in
 ``src/repro/apps/sql/queries/`` and runs three ways — Xeon reference,
 single DPU, and a 2/4/8-DPU cluster — asserting byte-equal result
-rows. Where a hand-built plan exists (Q1), the compiled plan must
-reproduce its cycle count exactly, and every cost-based decision the
-planner records (DPU-offload vs Xeon, all-to-all vs pre-aggregate
-exchange) must be consistent with the models it claims to have
-consulted.
+rows. Where a hand-built plan exists (Q1), the compiled operator must
+reproduce its cycle count exactly at the hand plan's 32-core fan-out
+(the planner's own fan-out may only beat it), and every cost-based
+decision the planner records (DPU-offload vs Xeon, all-to-all vs
+pre-aggregate exchange, dpCore fan-out) must be consistent with the
+models it claims to have consulted.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.apps.sql import (
     load_tpch_on_dpu,
     tpch_catalog,
 )
+from repro.apps.sql.costs import FanoutModel
 from repro.apps.sql.tpch_queries import q1_plan
 from repro.baseline import XeonModel
 from repro.baseline.dbms import DbmsCostModel
@@ -31,6 +33,9 @@ from repro.faults import ChaosSpec, FaultPlan
 from repro.workloads.tpch import generate_tpch
 
 QUERIES = ["q1", "q3", "q5", "q6", "q10", "q12", "q14"]
+# Queries whose group-by is low-NDV: the planner picks their fan-out.
+LOW_NDV = ["q1", "q5", "q6", "q10", "q12", "q14"]
+FANOUTS = [1, 2, 4, 8, 16, 32]
 
 
 @pytest.fixture(scope="module")
@@ -104,18 +109,34 @@ class TestThreeWayByteEquality:
                 strategy="all_to_all")
 
 
+def _scan_at(compiled, columns, cores):
+    """The compiled group-by over ``columns`` on a fresh DPU at a
+    forced fan-out."""
+    dpu = DPU()
+    dtable = Table(compiled.fact, columns).to_dpu(dpu)
+    return dpu_groupby(
+        dpu, dtable, compiled.key, compiled.aggs,
+        row_filter=compiled.row_filter,
+        broadcasts=compiled._dpu_broadcasts(dpu), cores=cores)
+
+
 class TestHandPlanParity:
     """The compiled plan must not cost a cycle more than the hand plan."""
 
     def test_q1_cycles_match_hand_plan(self, compiled_queries, data):
+        # The compiled operator is the hand plan at the same 32-core
+        # fan-out, bit for bit; the planner's fan-out may only beat it.
         compiled = compiled_queries["q1"]
         key, aggs, row_filter = q1_plan()
         dpu = DPU()
         hand = dpu_groupby(
             dpu, load_tpch_on_dpu(dpu, data)["lineitem"],
             key, aggs, row_filter=row_filter)
-        result = compiled.run_dpu(DPU(), data)
-        assert result.cycles == hand.cycles
+        fact = data.tables[compiled.fact]
+        columns = {name: fact[name] for name in compiled.needed_columns}
+        at_32 = _scan_at(compiled, columns, 32)
+        assert at_32.cycles == hand.cycles
+        assert compiled.run_dpu(DPU(), data).cycles <= hand.cycles
 
     def test_q1_lowering_matches_hand_plan_shape(self, compiled_queries):
         compiled = compiled_queries["q1"]
@@ -189,6 +210,34 @@ class TestCostModelConsistency:
         else:
             assert exchange["choice"] == "pre_aggregate"
 
+    @pytest.mark.parametrize("name", LOW_NDV)
+    def test_fanout_choice_is_argmin(self, compiled_queries, name):
+        compiled = compiled_queries[name]
+        fanout = compiled.plan["fanout"]
+        model = FanoutModel(
+            cycles_per_row=fanout["cycles_per_row"],
+            column_bytes=tuple(fanout["column_bytes"]),
+            broadcast_bytes=fanout["broadcast_bytes"],
+            selectivity=fanout["selectivity"],
+            groups=fanout["groups"],
+        )
+        assert model == compiled.fanout_model
+        rows = compiled.plan["offload"]["rows"]
+        for num_shards in (1, 2, 4, 8, 16):
+            shard_rows = rows // num_shards
+            costs = {k: model.cycles(shard_rows, k) for k in range(1, 33)}
+            best = min(costs, key=lambda k: (costs[k], k))
+            if costs[best] > (1 - fanout["min_saving"]) * costs[32]:
+                best = 32
+            assert compiled.fanout(shard_rows) == best
+
+    def test_partitioned_plan_keeps_every_core(self, compiled_queries):
+        compiled = compiled_queries["q3"]
+        assert compiled.plan["partitions_needed"] > 1
+        assert compiled.fanout_model is None
+        assert compiled.plan["fanout"]["cores"] == 32
+        assert compiled.fanout(12016) is None
+
     @pytest.mark.parametrize("name", QUERIES)
     def test_run_auto_follows_offload_choice(self, compiled_queries, data,
                                              name):
@@ -196,6 +245,36 @@ class TestCostModelConsistency:
         result = compiled.run_auto(DPU(), XeonModel(), data)
         picked_dpu = hasattr(result, "cycles")
         assert picked_dpu == (compiled.plan["offload"]["choice"] == "dpu")
+
+
+class TestFanoutSweep:
+    """Every compiled low-NDV query on 1, 4 and 8 shards: the groups
+    do not depend on the fan-out, and the planner's fan-out never
+    costs more simulated cycles than all 32 cores. The slower grid
+    with scale 0.01 is ``benchmarks/test_sql_fanout.py``."""
+
+    @pytest.mark.parametrize("num_shards", [1, 4, 8])
+    @pytest.mark.parametrize("name", LOW_NDV)
+    def test_sweep(self, compiled_queries, data, name, num_shards):
+        compiled = compiled_queries[name]
+        shard = _shard_fact(compiled, data, num_shards)[0]
+        rows = {}
+        cycles = {}
+        for cores in FANOUTS:
+            result = _scan_at(compiled, shard.columns, cores)
+            rows[cores] = compiled.finish(result.value)
+            cycles[cores] = result.cycles
+        assert all(rows[k] == rows[32] for k in FANOUTS)
+        groups, chosen = compiled.run_local(DPU(), shard.columns)
+        assert compiled.finish(groups) == rows[32]
+        assert chosen <= cycles[32]
+
+    def test_run_dpu_records_fanout(self, compiled_queries, data):
+        compiled = compiled_queries["q12"]
+        result = compiled.run_dpu(DPU(), data)
+        assert result.detail["cores"] == compiled.fanout(
+            compiled.plan["offload"]["rows"])
+        assert result.detail["cores"] < 32
 
 
 class TestCompiledChaosRecovery:
