@@ -52,12 +52,9 @@ def test_sec4_cluster_scaleout_efficiency(benchmark, report):
             for n, seconds in timings.items()]
     report("§4: scale-out efficiency (equal shard per DPU)",
            "cluster  time", rows)
-    # Weak scaling: adding DPUs with equal shards should cost only the
-    # exchange phase (each shard still scans in parallel locally...
-    # the shards here scan serially on the shared clock, so compare
-    # per-shard time instead).
-    per_shard = {n: t / n for n, t in timings.items()}
-    assert per_shard[4] < 1.6 * per_shard[1]
+    # Weak scaling: every DPU scans its equal shard at the same time,
+    # so adding DPUs costs only the longer gather.
+    assert timings[4] < 1.6 * timings[1]
     benchmark.extra_info.update(
         {f"dpus_{n}": t for n, t in timings.items()}
     )

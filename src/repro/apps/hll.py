@@ -34,7 +34,7 @@ from ..baseline.xeon import XeonModel
 from ..core.assembler import assemble
 from ..core.crc32 import crc32_column, murmur64
 from ..core.dpcore import DpCoreInterpreter
-from ..core.dpu import DPU
+from ..core.dpu import DPU, LaunchRequest, launch_op
 from ..memory.dmem import Scratchpad
 from ..runtime.parallel import WorkQueue
 from ..sim import StatsRecorder
@@ -218,6 +218,7 @@ def measure_hash_loop(
 # -- DPU execution ------------------------------------------------------------
 
 
+@launch_op
 def dpu_hll(
     dpu: DPU,
     values_addr: int,
@@ -284,7 +285,7 @@ def dpu_hll(
             yield from ctx.compute(len(registers) / 8)  # 8 B/cycle merge
         return merged
 
-    launch = dpu.launch(kernel, cores=cores)
+    launch = yield LaunchRequest(kernel, cores)
     sketch = launch.values[0]
     estimate = hll_estimate(sketch)
     return DpuOpResult(

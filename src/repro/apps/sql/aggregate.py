@@ -41,7 +41,7 @@ import numpy as np
 
 from ...baseline.xeon import XeonModel
 from ...core.crc32 import crc32_column
-from ...core.dpu import DPU
+from ...core.dpu import DPU, LaunchRequest, launch_op
 from ...dms.descriptor import (
     Descriptor,
     DescriptorType,
@@ -348,6 +348,7 @@ def _broadcast_bytes(broadcasts) -> int:
     return sum(broadcast.nbytes for broadcast in broadcasts)
 
 
+@launch_op
 @traced_op("sql.groupby", result_attrs=lambda result: {
     "cores": result.detail["cores"]})
 def dpu_groupby(
@@ -374,6 +375,10 @@ def dpu_groupby(
     ``cores`` dpCores (the physical planner picks it per shard, see
     :meth:`~repro.apps.sql.costs.FanoutModel.choose`). ``None`` means
     every core. The partitioned strategies always use every core.
+
+    Written as launch steps (:func:`~repro.core.dpu.launch_op`): a
+    call runs it to completion; ``dpu_groupby.steps`` is the generator
+    a cluster job runs as one DPU's process.
     """
     budget = budget or DmemBudget()
     filt = _as_row_filter(row_filter)
@@ -404,11 +409,11 @@ def dpu_groupby(
             f"a {fanout}-core fan-out only applies to low-NDV group-bys"
         )
     if plan.partitions_needed <= 1:
-        result, cycles, nbytes = _groupby_low_ndv(
+        result, cycles, nbytes = yield from _groupby_low_ndv(
             dpu, dtable, key, aggs, filt, tile_rows, broadcasts, fanout
         )
     elif plan.partitions_needed <= 32:
-        result, cycles, nbytes = _groupby_hw_partitioned(
+        result, cycles, nbytes = yield from _groupby_hw_partitioned(
             dpu, dtable, key, aggs, filt, broadcasts
         )
     else:
@@ -418,7 +423,7 @@ def dpu_groupby(
                 f"{plan.dpu_sw_rounds} software rounds; only one is "
                 "implemented (enough for tables to ~24 GB of groups)"
             )
-        result, cycles, nbytes = _groupby_one_sw_round(
+        result, cycles, nbytes = yield from _groupby_one_sw_round(
             dpu, dtable, key, aggs, filt, tile_rows, broadcasts,
             governor=governor,
         )
@@ -485,7 +490,7 @@ def _groupby_low_ndv(dpu, dtable, key, aggs, row_filter, tile_rows,
             yield from ctx.compute(MERGE_CYCLES_PER_GROUP * len(payload_groups))
         return merged
 
-    launch = dpu.launch(kernel, cores=cores)
+    launch = yield LaunchRequest(kernel, cores)
     merged = launch.values[0]
     nbytes = dtable.nbytes(names)
     return merged, launch.cycles, nbytes
@@ -624,7 +629,7 @@ def _groupby_hw_partitioned(dpu, dtable, key, aggs, row_filter,
                 break
         return groups
 
-    launch = dpu.launch(kernel, cores=cores)
+    launch = yield LaunchRequest(kernel, cores)
     merged = merge_groups(launch.values, aggs)  # disjoint keys: concat
     nbytes = sum(rows * width for width in widths)
     return merged, launch.cycles, nbytes
@@ -648,10 +653,10 @@ def _groupby_one_sw_round(dpu, dtable, key, aggs, row_filter, tile_rows,
     is exactly the single-round plan.
     """
     if governor is None:
-        return _groupby_sw_round_range(
+        return (yield from _groupby_sw_round_range(
             dpu, dtable, key, aggs, row_filter, tile_rows, broadcasts,
             0, dtable.num_rows, free_regions=False,
-        )
+        ))
     names = _needed_columns(key, aggs, row_filter)
     refs = dtable.column_refs(names)
     widths = [ref_dtype(spec).itemsize for _addr, spec in refs]
@@ -667,7 +672,7 @@ def _groupby_one_sw_round(dpu, dtable, key, aggs, row_filter, tile_rows,
     total_nbytes = 0
     for r0 in range(0, rows, chunk_rows):
         r1 = min(rows, r0 + chunk_rows)
-        part, cycles, nbytes = _groupby_sw_round_range(
+        part, cycles, nbytes = yield from _groupby_sw_round_range(
             dpu, dtable, key, aggs, row_filter, tile_rows, broadcasts,
             r0, r1, free_regions=True,
         )
@@ -839,7 +844,7 @@ def _groupby_sw_round_range(dpu, dtable, key, aggs, row_filter, tile_rows,
             yield from ctx.wfe(event)
         return None
 
-    launch = dpu.launch(partition_kernel, cores=cores)
+    launch = yield LaunchRequest(partition_kernel, cores)
     total_cycles = launch.cycles
 
     # Phase 2: hardware path per bucket, over the bucket's columns.
@@ -859,9 +864,9 @@ def _groupby_sw_round_range(dpu, dtable, key, aggs, row_filter, tile_rows,
             for col, name in enumerate(names)
         }
         sub = DpuTable(table=sub_table, dpu=dpu, addresses=sub_addresses)
-        bucket_groups, cycles, sub_bytes = _groupby_hw_partitioned(
-            dpu, sub, key, aggs, row_filter, broadcasts
-        )
+        bucket_groups, cycles, sub_bytes = yield from (
+            _groupby_hw_partitioned(dpu, sub, key, aggs, row_filter,
+                                    broadcasts))
         merged = merge_groups([merged, bucket_groups], aggs)
         total_cycles += cycles
         nbytes += sub_bytes

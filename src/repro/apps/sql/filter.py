@@ -26,7 +26,7 @@ import numpy as np
 
 from ...baseline.xeon import XeonModel
 from ...core.bitvector import pack_bits, unpack_bits
-from ...core.dpu import DPU
+from ...core.dpu import DPU, LaunchRequest, launch_op
 from ...obs import traced_op
 from ...dms.descriptor import Descriptor, DescriptorType
 from ...runtime.task import static_partition
@@ -54,9 +54,10 @@ def _streamed_scan(
     cores: Optional[Iterable[int]],
     tile_rows: int,
     broadcasts: Tuple[Broadcast, ...],
-) -> float:
+):
     """Common skeleton: stream columns, compute per-tile output units,
-    write them back on channel 1. Returns launch cycles.
+    write them back on channel 1. Launch steps returning the launch
+    cycles.
 
     ``make_output(columns) -> ndarray`` produces ``(hi-lo) /
     rows_per_out_unit`` elements of ``out_width`` bytes per tile.
@@ -141,10 +142,11 @@ def _streamed_scan(
             yield from ctx.wfe(event)
         return row_hi - row_lo
 
-    launch = dpu.launch(kernel, cores=core_list)
+    launch = yield LaunchRequest(kernel, core_list)
     return launch.cycles
 
 
+@launch_op
 @traced_op("sql.filter")
 def dpu_filter(
     dpu: DPU,
@@ -167,7 +169,7 @@ def dpu_filter(
     def make_output(columns):
         return pack_bits(row_filter.mask_fn(columns))
 
-    cycles = _streamed_scan(
+    cycles = yield from _streamed_scan(
         dpu, dtable, row_filter, bv_addr, 8, make_output, 64,
         cores, tile_rows, broadcasts,
     )
@@ -183,6 +185,7 @@ def dpu_filter(
     )
 
 
+@launch_op
 @traced_op("sql.scan_project")
 def dpu_scan_project(
     dpu: DPU,
@@ -207,7 +210,7 @@ def dpu_scan_project(
     def make_output(columns):
         return np.ascontiguousarray(project(columns), dtype=out_dtype)
 
-    cycles = _streamed_scan(
+    cycles = yield from _streamed_scan(
         dpu, dtable, row_filter, out_addr, out_width, make_output, 1,
         cores, tile_rows, broadcasts,
     )

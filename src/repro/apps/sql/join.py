@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from ...baseline.xeon import XeonModel
-from ...core.dpu import DPU
+from ...core.dpu import DPU, LaunchRequest, launch_op
 from ...dms.descriptor import (
     Descriptor,
     DescriptorType,
@@ -136,6 +136,7 @@ def lookup_filter(
 # -- general partitioned hash join -----------------------------------------
 
 
+@launch_op
 @traced_op("sql.join")
 def dpu_partitioned_join_count(
     dpu: DPU,
@@ -341,8 +342,8 @@ def dpu_partitioned_join_count(
         if segments > 1 and seg_build_rows <= 0:
             break
         seg_ref = (build_ref[0] + b0 * build_width, build_ref[1])
-        launch = dpu.launch(
-            make_kernel(seg_ref, seg_build_rows), cores=cores
+        launch = yield LaunchRequest(
+            make_kernel(seg_ref, seg_build_rows), cores
         )
         total_matches += sum(launch.values)
         total_cycles += launch.cycles

@@ -436,7 +436,12 @@ class CompiledQuery:
         the fan-out the cost model picks for its row count: the one
         execution path of :meth:`run_dpu`, :meth:`run_local` and shared
         scans."""
-        return dpu_groupby(
+        return dpu.run_steps(self.scan_steps(dpu, dtable))
+
+    def scan_steps(self, dpu, dtable: DpuTable):
+        """:meth:`scan` as launch steps (see
+        :func:`~repro.core.dpu.launch_op`)."""
+        return dpu_groupby.steps(
             dpu, dtable, self.key, self.aggs,
             row_filter=self.row_filter,
             broadcasts=self._dpu_broadcasts(dpu),
@@ -487,6 +492,14 @@ class CompiledQuery:
         least this query's needed columns (a shared scan stores the
         union of a batch's columns once); the scan streams from it
         instead of storing the shard again."""
+        return dpu.run_steps(
+            self.local_steps(dpu, columns, shard_name, resident))
+
+    def local_steps(self, dpu, columns: Dict[str, np.ndarray],
+                    shard_name: str = "shard",
+                    resident: Optional[DpuTable] = None):
+        """:meth:`run_local` as launch steps: what a cluster job runs
+        as one DPU's process."""
         if not columns or len(next(iter(columns.values()))) == 0:
             return {}, 0.0
         if resident is None:
@@ -494,7 +507,7 @@ class CompiledQuery:
                 f"{self.fact}_{shard_name}",
                 {name: columns[name] for name in self.needed_columns},
             ).to_dpu(dpu)
-        result = self.scan(dpu, resident)
+        result = yield from self.scan_steps(dpu, resident)
         return result.value, result.cycles
 
     def scan_shape(self, rows: int, nbytes: int) -> ScanShape:

@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ...baseline.xeon import XeonModel
-from ...core.dpu import DPU
+from ...core.dpu import DPU, LaunchRequest, launch_op
 from ...runtime.task import static_partition
 from ...obs import traced_op
 from ..streaming import ref_width, stream_columns
@@ -29,6 +29,7 @@ __all__ = ["dpu_topk", "xeon_topk"]
 _XEON_SCAN_OPS_PER_ROW = 1.0 / 4.0  # SIMD max-threshold prefilter
 
 
+@launch_op
 @traced_op("sql.topk")
 def dpu_topk(
     dpu: DPU,
@@ -97,7 +98,7 @@ def dpu_topk(
         merged.sort(reverse=True)
         return merged[:k]
 
-    launch = dpu.launch(kernel, cores=cores)
+    launch = yield LaunchRequest(kernel, cores)
     top = launch.values[0]
     return DpuOpResult(
         value=top,

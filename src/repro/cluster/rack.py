@@ -18,7 +18,8 @@ Two pieces:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
+                    Tuple)
 
 from ..core.config import DPU_40NM, DPUConfig
 from ..core.dpu import DPU
@@ -122,6 +123,46 @@ class Cluster:
         if metrics.enabled:
             metrics.flush()
         return result
+
+    def run_steps(self, work: Sequence[Tuple[int, Generator]]) -> List[Any]:
+        """Run operators' launch steps on many DPUs at once.
+
+        ``work`` lists ``(dpu index, steps)`` pairs, ``steps`` being a
+        generator of :class:`~repro.core.dpu.LaunchRequest` (an
+        operator's ``.steps`` form, see
+        :func:`~repro.core.dpu.launch_op`). One process per DPU serves
+        that DPU's entries in order through
+        :meth:`~repro.core.dpu.DPU.serve_steps`, so different DPUs
+        overlap while several entries on one DPU run back to back. The
+        engine runs until every DPU is done; returns the steps' values
+        in ``work`` order. If any entry raised, the first such error
+        (in ``work`` order) is re-raised unchanged once every DPU has
+        stopped; a DPU stops at its first error.
+        """
+        if not work:
+            return []
+        queues: Dict[int, List[Tuple[int, Generator]]] = {}
+        for slot, (index, steps) in enumerate(work):
+            queues.setdefault(index, []).append((slot, steps))
+        values: List[Any] = [None] * len(work)
+        errors: Dict[int, BaseException] = {}
+
+        def runner(dpu, queue):
+            for slot, steps in queue:
+                try:
+                    values[slot] = yield from dpu.serve_steps(steps)
+                except Exception as error:
+                    errors[slot] = error
+                    return
+
+        self.run([
+            self.engine.process(runner(self.dpus[index], queue),
+                                name=f"{self.dpus[index].name}.steps")
+            for index, queue in sorted(queues.items())
+        ])
+        if errors:
+            raise errors[min(errors)]
+        return values
 
     def launch_everywhere(
         self,

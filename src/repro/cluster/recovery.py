@@ -54,18 +54,23 @@ single-DPU machinery in :mod:`repro.faults`:
   lease is current, the leader launches a speculative copy on a
   second DPU; first result wins through the same dedup.
 
-The simulator constraint that shapes the control flow: ``dpu.launch``
-drives the shared engine, so kernels cannot be launched from inside a
-simulation process. Recovery therefore alternates *host-side* compute
-(launches on current shard owners) with *bounded simulation phases*
-(heartbeats + epoch-tagged sends + a lease-guarded collector at the
-current leader + drain loops at every other live endpoint), looping
-until every shard has arrived — the classic coordinator retry loop,
-with the event clock advancing through every phase. A phase always
-terminates: the leader's collector bounds itself by the stall
-patience, and the drain loops exit on the shared phase-over flag, on
-their own endpoint's death, or by reporting the leader's lease
-expiry.
+Control flow: recovery alternates *compute phases* with *bounded
+simulation phases*, looping until every shard has arrived — the
+classic coordinator retry loop, with the event clock advancing through
+every phase. A compute phase runs the missing shards' launch steps on
+their current owners through :meth:`~repro.cluster.rack.Cluster.run_steps`:
+one process per owner, owners in parallel, several shards on one
+owner back to back — the same compute contract as the fault-free
+path. A simulation phase runs heartbeats + epoch-tagged sends + a
+lease-guarded collector at the current leader + drain loops at every
+other live endpoint. A phase always terminates: the leader's
+collector bounds itself by the stall patience, and the drain loops
+exit on the shared phase-over flag, on their own endpoint's death, or
+by reporting the leader's lease expiry. Only simulation phases spend
+the :attr:`RecoveryConfig.watchdog_events` budget; a compute phase
+scales with the data (an 8-DPU TPC-H Q1 scan at scale 0.01 is ~10^4
+events, more than any simulation phase of that job) and runs under
+whatever watchdog the engine already has.
 
 Activated only when the cluster's :class:`~repro.faults.FaultPlan`
 carries chaos specs; ``FaultPlan.none()`` keeps every job on the
@@ -152,7 +157,8 @@ class RecoveryConfig:
     # Host-side retry budget: rounds of (compute, send, collect) per
     # job phase before giving up with ClusterError.
     max_rounds: int = 12
-    # Per-phase event budget (livelock guard on the shared engine).
+    # Per-simulation-phase event budget (livelock guard on the shared
+    # engine); compute phases do not spend it.
     watchdog_events: int = 50_000_000
     # Standby A9s the leader replicates its job journal to, so a
     # takeover can replay received-shard acknowledgements instead of
@@ -764,9 +770,11 @@ class RecoveryManager:
     ) -> Tuple[Any, float]:
         """Run a merge-family job to completion under faults.
 
-        ``compute(shard, dpu, dpu_index)`` is host-side (it may call
-        ``dpu.launch``) and must be deterministic — re-execution on a
-        survivor must reproduce the lost partial exactly. Partials are
+        ``compute(shard, dpu, dpu_index)`` returns the launch steps of
+        one shard's partial (see
+        :meth:`~repro.cluster.rack.Cluster.run_steps`); it must be
+        deterministic — re-execution on a survivor must reproduce the
+        lost partial exactly. Partials are
         merged in shard order after per-shard dedup, so duplicates and
         speculative copies cannot perturb the result, and the merge
         happens exactly once, on the final leader, after every shard
@@ -799,16 +807,19 @@ class RecoveryManager:
             self.stats.rounds += 1
             leader = self.leader
             standbys = self.standbys()
-            # Host phase: (re-)execute missing shards on their current
-            # owners from the durable inputs.
-            for key in sorted(needed):
-                owner = shard_owner[key]
-                if value_owner.get(key) != owner:
-                    recompute = key in value_owner or key in rerouted
-                    values[key] = compute(key, cluster.dpus[owner], owner)
-                    value_owner[key] = owner
-                    if recompute:
-                        self.stats.reexecuted_shards += 1
+            # Compute phase: (re-)execute missing shards on their
+            # current owners from the durable inputs, owners in parallel.
+            work = [(key, shard_owner[key]) for key in sorted(needed)
+                    if value_owner.get(key) != shard_owner[key]]
+            computed = cluster.run_steps([
+                (owner, compute(key, cluster.dpus[owner], owner))
+                for key, owner in work
+            ])
+            for (key, owner), value in zip(work, computed):
+                if key in value_owner or key in rerouted:
+                    self.stats.reexecuted_shards += 1
+                values[key] = value
+                value_owner[key] = owner
             # Simulation phase: epoch-tagged sends race the detector's
             # lease-guarded collector at the current leader, with a
             # drain loop on every other live endpoint.
@@ -877,24 +888,30 @@ class RecoveryManager:
                         shard_owner[key] = self._survivor_for(key)
                         min_epoch[key] = self.epoch
             else:  # stalled: resend, then speculate on a second DPU
+                speculative = []
                 for key in sorted(needed):
                     stall_strikes[key] += 1
                     if stall_strikes[key] >= 2 and key not in backups:
                         owner = shard_owner[key]
                         backup = self._survivor_for(key, exclude=(owner,))
                         backups[key] = backup
+                        speculative.append((key, backup))
                         self.stats.speculative_launches += 1
                         if self.cluster.metrics.enabled:
                             self.cluster.metrics.annotate(
                                 "recover.speculative_launch",
                                 shard=key, backup=backup,
                             )
-                        backup_value = compute(key, cluster.dpus[backup],
-                                               backup)
-                        self._spawn_sender(
-                            backup, self.leader, "data", key, backup_value,
-                            nbytes_of(backup_value),
-                        )
+                backup_values = cluster.run_steps([
+                    (backup, compute(key, cluster.dpus[backup], backup))
+                    for key, backup in speculative
+                ])
+                for (key, backup), backup_value in zip(speculative,
+                                                       backup_values):
+                    self._spawn_sender(
+                        backup, self.leader, "data", key, backup_value,
+                        nbytes_of(backup_value),
+                    )
         if needed:
             raise self._error(
                 site, sorted({shard_owner[k] for k in needed}),
@@ -952,6 +969,10 @@ class RecoveryManager:
         stall_strikes: Dict[Tuple[int, int], int] = {}
         backups: Dict[Tuple[int, int], int] = {}
 
+        def partition_slot(slot, dpu):
+            return (yield from partition_source.steps(
+                dpu, tables[slot].to_dpu(dpu), key, names, num_slots))
+
         def pending_pairs() -> List[Tuple[int, int]]:
             return [
                 (s, d) for s in slots for d in slots
@@ -962,17 +983,17 @@ class RecoveryManager:
             self.stats.rounds += 1
             leader = self.leader
             standbys = self.standbys()
-            # Host phase: partition every slot's shard on its current
-            # owner (the DMS hash-engine kernel; deterministic bytes).
-            for slot in slots:
-                owner = slot_owner[slot]
-                if partition_owner.get(slot) == owner:
-                    continue
-                dpu = cluster.dpus[owner]
-                dtable = tables[slot].to_dpu(dpu)
-                raws, cycles, record_width, dtypes = partition_source(
-                    dpu, dtable, key, names, num_slots
-                )
+            # Compute phase: partition every slot's shard on its current
+            # owner (the DMS hash-engine kernel; deterministic bytes),
+            # owners in parallel.
+            work = [(slot, slot_owner[slot]) for slot in slots
+                    if partition_owner.get(slot) != slot_owner[slot]]
+            sources = cluster.run_steps([
+                (owner, partition_slot(slot, cluster.dpus[owner]))
+                for slot, owner in work
+            ])
+            for (slot, owner), source in zip(work, sources):
+                raws, cycles, record_width, dtypes = source
                 partitions[slot] = raws
                 partition_owner[slot] = owner
                 partition_cycles = max(partition_cycles, cycles)

@@ -9,7 +9,7 @@ DPU, then the shards cross the fabric all-to-all.
 The exchange reuses the hardware the paper provides for exactly this
 (§3.1's hash/range partitioning engine, Fig. 13):
 
-1. **Partition (per source DPU, DMS hardware).** Core 0 drives
+1. **Partition (every source DPU at once, DMS hardware).** Core 0 drives
    DDR->DMS->DMEM partition chains with a ``PartitionSpec`` whose
    fanout is the DPU count and whose ``radix_shift`` inspects *high*
    CRC bits — the intra-DPU 32-way operators keep using the low bits,
@@ -54,6 +54,7 @@ import numpy as np
 
 from ..apps.sql.aggregate import _parse_records, _record_layout
 from ..apps.streaming import ref_dtype
+from ..core.dpu import LaunchRequest, launch_op
 from ..core.mailbox import A9_ID
 from ..dms.descriptor import (
     Descriptor,
@@ -112,9 +113,8 @@ class ShuffleResult:
 
     # Per destination DPU: the reassembled columns ({name: array}).
     columns: List[Dict[str, np.ndarray]]
-    # Max per-DPU partition-kernel cycles (the phase is embarrassingly
-    # parallel; the shared engine runs the launches in turn, so the
-    # max — not the serial sum — models rack wall-clock).
+    # Partition phase: the slowest source DPU's partition kernel (the
+    # DPUs partition concurrently).
     partition_cycles: float
     # Span of the concurrent A9 all-to-all on the shared clock.
     exchange_cycles: float
@@ -220,6 +220,7 @@ def _partition_kernel(dpu, refs, rows, num_dests, region_addrs, spec, layout):
     return kernel
 
 
+@launch_op
 def partition_source(dpu, dtable, key: str, names: Sequence[str],
                      num_dests: int):
     """Partition one DPU-resident table into ``num_dests`` raw record
@@ -263,7 +264,7 @@ def partition_source(dpu, dtable, key: str, names: Sequence[str],
         kernel = _partition_kernel(
             dpu, refs, rows, num_dests, region_addrs, spec, layout
         )
-        launch = dpu.launch(kernel, cores=cores)
+        launch = yield LaunchRequest(kernel, cores)
         cycles = launch.cycles
         for slot, written in enumerate(launch.values):
             expected = int(counts[slot]) * record_width
@@ -307,19 +308,15 @@ def shuffle_exchange(
     record_width = sum(dtype.itemsize for dtype in dtypes)
     engine = cluster.engine
 
-    # Phase 1 (serial per source DPU on the shared clock; the phase is
-    # embarrassingly parallel, so the max launch — not the span —
-    # feeds the parallel-time model).
-    partitions: List[List[Optional[np.ndarray]]] = [
-        [None] * num_dpus for _ in range(num_dpus)
-    ]  # partitions[src][dst] = raw record bytes
-    partition_cycles = 0.0
-    for src, (dpu, dtable) in enumerate(zip(cluster.dpus, dtables)):
-        raws, cycles, record_width, dtypes = partition_source(
-            dpu, dtable, key, names, num_dpus
-        )
-        partitions[src] = raws
-        partition_cycles = max(partition_cycles, cycles)
+    # Phase 1: every source DPU partitions its table at the same time;
+    # the phase lasts as long as the slowest DPU.
+    # partitions[src][dst] = raw record bytes.
+    sources = cluster.run_steps([
+        (src, partition_source.steps(dpu, dtable, key, names, num_dpus))
+        for src, (dpu, dtable) in enumerate(zip(cluster.dpus, dtables))
+    ])
+    partitions = [raws for raws, _cycles, _width, _dtypes in sources]
+    partition_cycles = max(cycles for _raws, cycles, _w, _d in sources)
 
     # Phase 2: concurrent all-to-all over the A9s/fabric. A rotated
     # schedule (src s sends to s+1, s+2, ...) avoids synchronized

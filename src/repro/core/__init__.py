@@ -18,7 +18,7 @@ from .dpcore import (
     ExecutionResult,
     mul_latency,
 )
-from .dpu import DPU, CoreContext, LaunchResult
+from .dpu import DPU, CoreContext, LaunchRequest, LaunchResult, launch_op
 from .isa import OPCODES, Instruction, IsaError, OpSpec, Program, Unit
 from .mailbox import A9_ID, M0_ID, NUM_MAILBOXES, Mailbox, MailboxController
 from .pmu import PowerManagementUnit, PowerState
@@ -36,6 +36,7 @@ __all__ = [
     "ExecutionResult",
     "Instruction",
     "IsaError",
+    "LaunchRequest",
     "LaunchResult",
     "M0_ID",
     "MISPREDICT_PENALTY",
@@ -60,6 +61,7 @@ __all__ = [
     "crc32_column",
     "crc32_u32",
     "crc32_u64",
+    "launch_op",
     "mul_latency",
     "murmur64",
     "nlz64",

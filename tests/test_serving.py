@@ -373,28 +373,28 @@ class TestBatchedQueries:
         shards = [Table(s.name, {n: s.columns[n] for n in union})
                   for s in _full_shards(data, num_dpus)]
         in_batch = []
-        run_local = CompiledQuery.run_local
+        local_steps = CompiledQuery.local_steps
 
         def recording(compiled, dpu, columns, shard_name="shard",
                       resident=None):
-            groups, cycles = run_local(compiled, dpu, columns, shard_name,
-                                       resident)
+            groups, cycles = yield from local_steps(
+                compiled, dpu, columns, shard_name, resident)
             in_batch.append((compiled, shard_name, cycles))
             return groups, cycles
 
-        monkeypatch.setattr(CompiledQuery, "run_local", recording)
+        monkeypatch.setattr(CompiledQuery, "local_steps", recording)
         cluster_batched_queries(Cluster(num_dpus), batch, shards)
-        monkeypatch.setattr(CompiledQuery, "run_local", run_local)
+        monkeypatch.setattr(CompiledQuery, "local_steps", local_steps)
         assert len(in_batch) == len(batch) * num_dpus
         config = DPU().config
         carried = config.ddr_num_banks * config.ddr_row_miss_cycles
-        for position, (compiled, shard_name, cycles) in enumerate(in_batch):
+        for compiled, shard_name, cycles in in_batch:
             shard = shards[int(shard_name[len("shard"):])]
             dpu = DPU()
             resident = Table(shard.name, shard.columns).to_dpu(dpu)
             _groups, alone = compiled.run_local(
                 dpu, shard.columns, shard_name, resident=resident)
-            if position % len(batch) == 0:
+            if compiled is batch[0]:
                 assert cycles == pytest.approx(alone, rel=1e-12, abs=0.0)
             else:
                 assert alone - carried - 1e-6 <= cycles <= alone + 1e-6
@@ -464,11 +464,20 @@ class TestServingFrontend:
                                             query_texts):
         workload = OpenLoopWorkload(TENANTS, QUERIES, seed=7)
         requests = workload.generate(40, mean_interarrival_cycles=20_000.0)
+        # A burst: every tenant asks a different query at one instant,
+        # so the first dispatch is a shared-scan batch however fast
+        # the cluster drains the Poisson stream behind it.
+        requests += [
+            QueryRequest(len(requests) + offset, tenant, TENANTS[tenant],
+                         query, 0.0)
+            for offset, (tenant, query) in enumerate(zip(TENANTS, QUERIES))
+        ]
         frontend = _frontend(data, catalog, query_texts)
         report = frontend.run(requests)
         assert len(report.records) == len(requests)
         assert report.counters["cache_hits"] > 0
         assert report.counters.get("batches", 0) > 0
+        assert report.records[0].source == "batch"
         for name in QUERIES:
             assert report.results[name] == _reference_rows(
                 query_texts, catalog, data, name)
