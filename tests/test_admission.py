@@ -245,8 +245,8 @@ class TestDpuLaunchGate:
         dpu.set_admission(controller)
         jobs = [dpu.spawn_job(_noop_kernel, cores=[0, 1]) for _ in range(5)]
         gate = dpu.engine.all_of(jobs)
-        values = dpu.engine.run_until_complete(gate)
-        assert values == [[0, 1]] * 5
+        launches = dpu.engine.run_until_complete(gate)
+        assert [launch.values for launch in launches] == [[0, 1]] * 5
         assert controller.admitted == 5
         assert controller.stats.gauge("admission.running_peak") == 2
 
