@@ -39,7 +39,7 @@ from repro.apps.sql import (
     run_query,
 )
 from repro.baseline import XeonModel
-from repro.cluster import Cluster, cluster_filter_count
+from repro.cluster import Cluster, cluster_filter_count, cluster_groupby
 from repro.core import DPU, DPU_40NM
 from repro.dms import (
     Descriptor,
@@ -48,6 +48,7 @@ from repro.dms import (
     PartitionMode,
     PartitionSpec,
 )
+from repro.faults import ChaosSpec, FaultPlan
 from repro.workloads.tpch import generate_tpch
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -249,6 +250,32 @@ def scenario_cluster_2dpu():
     }
 
 
+def scenario_cluster_2dpu_failover():
+    """Coordinator kill mid-exchange: DPU 0 dies at cycle 40,000,
+    inside the all-to-all, so the recovery manager's exchange runs
+    across a leader takeover and its gather runs under the new leader
+    with DPU 0's slot re-partitioned on DPU 1."""
+    plan = FaultPlan.none().with_chaos(
+        ChaosSpec("dpu.dead", (0,), at_cycle=40_000.0))
+    cluster = Cluster(num_dpus=2, fault_plan=plan)
+    rng = np.random.default_rng(606)
+    columns = {"k": rng.integers(0, 64, 8192).astype(np.int64),
+               "v": rng.integers(0, 1000, 8192).astype(np.int64)}
+    shards = [Table(f"s{i}", {name: column[i * 4096:(i + 1) * 4096]
+                              for name, column in columns.items()})
+              for i in range(2)]
+    result = cluster_groupby(cluster, shards, "k",
+                             [AggSpec("sum", "v"), AggSpec("count")])
+    counters = {f"recovery.{k}": float(v)
+                for k, v in sorted(result.recovery.counters().items())}
+    counters["net.bytes_sent"] = float(result.network_bytes)
+    return {
+        "cycles": float(result.cycles),
+        "digest": digest(result.value),
+        "counters": counters,
+    }
+
+
 SCENARIOS = {
     "filter": scenario_filter,
     "gather": scenario_gather,
@@ -259,6 +286,7 @@ SCENARIOS = {
     "tpch_q1": scenario_tpch_q1,
     "ate_pingpong": scenario_ate_pingpong,
     "cluster_2dpu": scenario_cluster_2dpu,
+    "cluster_2dpu_failover": scenario_cluster_2dpu_failover,
 }
 
 
