@@ -17,8 +17,9 @@ Two acts, one metrics pipeline (``repro.obs.metrics``):
    job still completes. The exported JSONL renders the full health
    report: timelines, fabric heatmap, alert log, annotations.
 
-Exit status is non-zero if either export fails JSONL schema
-validation, which is how CI would use this script.
+Exit status is non-zero if the chaos-recovered Q1 differs from the
+one-DPU reference or if either export fails JSONL schema validation,
+which is how CI uses this script.
 """
 
 import sys
@@ -68,7 +69,8 @@ def single_dpu_act(data):
 
 
 def cluster_chaos_act(data):
-    """Q1 sharded over 2 DPUs, coordinator chaos-killed mid-job."""
+    """Q1 sharded over 2 DPUs, coordinator chaos-killed mid-job.
+    Returns the hub and whether the result matched the reference."""
     shards = shard_table(data.tables["lineitem"], 2)
     reference = cluster_tpch_q1(
         Cluster(1), shard_table(data.tables["lineitem"], 1)
@@ -84,12 +86,13 @@ def cluster_chaos_act(data):
     hub.add_rule("rate(fabric.bytes_sent) < 1.0 for 20000",
                  name="fabric-idle")
     result = cluster_tpch_q1(cluster, shards)
-    matches = "byte-equal" if result.value == reference else "MISMATCH"
-    print(f"cluster Q1 with coordinator kill: {matches}, "
+    matches = result.value == reference
+    print(f"cluster Q1 with coordinator kill: "
+          f"{'byte-equal' if matches else 'MISMATCH'}, "
           f"leader {cluster.leader}, "
           f"{len(hub.alerts)} alert transitions, "
           f"{len(hub.annotations)} annotations")
-    return hub
+    return hub, matches
 
 
 def main(argv=None):
@@ -101,9 +104,9 @@ def main(argv=None):
     dpu_hub = single_dpu_act(data)
 
     print("\n== act 2: cluster Q1 with a coordinator kill ==")
-    cluster_hub = cluster_chaos_act(data)
+    cluster_hub, matches = cluster_chaos_act(data)
 
-    status = 0
+    status = 0 if matches else 1
     for label, hub, path in (
         ("dpu", dpu_hub, out_path + ".dpu"),
         ("cluster", cluster_hub, out_path),
@@ -121,6 +124,9 @@ def main(argv=None):
 
     print()
     print(render_report(_load_records(out_path)))
+    if not matches:
+        print("\ncluster Q1 under the coordinator kill differs from the "
+              "one-DPU reference", file=sys.stderr)
     if status == 0:
         print(f"\nmetrics OK: python -m repro.obs.metrics report {out_path}")
     return status

@@ -14,7 +14,14 @@ This example does both halves:
    distinct-count (HyperLogLog) and a distributed filtered count;
 2. prints the rack-scale provisioning arithmetic that motivated the
    whole design.
+
+Exit status is 1 if a simulated result fails its host check: the
+filtered count must be exact, and the HyperLogLog estimate must lie
+within three standard errors (3 x 1.04 / sqrt(2^precision)) of the
+true distinct count.
 """
+
+import sys
 
 import numpy as np
 
@@ -26,9 +33,13 @@ from repro.cluster import (
 )
 
 
+HLL_PRECISION = 12
+
+
 def main():
     rng = np.random.default_rng(31)
     num_dpus = 6
+    failures = []
 
     print(f"simulating a {num_dpus}-DPU cluster "
           f"({num_dpus * 32} dpCores total)...\n")
@@ -38,10 +49,14 @@ def main():
     shards = [rng.choice(pool, 40000) for _ in range(num_dpus)]
     truth = len(np.unique(np.concatenate(shards)))
     cluster = Cluster(num_dpus=num_dpus)
-    hll = cluster_hll(cluster, shards)
+    hll = cluster_hll(cluster, shards, precision=HLL_PRECISION)
+    error = abs(hll.value - truth) / truth
+    bound = 3 * 1.04 / np.sqrt(2 ** HLL_PRECISION)
     print("distributed HyperLogLog (sketch locally, merge at DPU 0):")
     print(f"  estimate {hll.value:.0f} vs true {truth} "
-          f"({abs(hll.value - truth) / truth * 100:.1f}% error)")
+          f"({error * 100:.1f}% error, bound {bound * 100:.1f}%)")
+    if error > bound:
+        failures.append(f"HLL error {error:.4f} exceeds {bound:.4f}")
     print(f"  network traffic: {hll.network_bytes} bytes "
           f"({num_dpus} register files) — the data never moved")
 
@@ -55,6 +70,8 @@ def main():
           f"{sum(len(s) for s in shards2)} rows:")
     print(f"  result {count.value} (host check: {expected}), "
           f"{count.seconds * 1e3:.2f} ms simulated")
+    if count.value != expected:
+        failures.append(f"filter count {count.value} != {expected}")
 
     # -- the rack arithmetic ----------------------------------------------
     rack = PAPER_RACK
@@ -69,6 +86,10 @@ def main():
           f"{rack.seconds_to_scan(10.0):.2f} s  (design goal: sub-second"
           f" per §1)")
 
+    for failure in failures:
+        print(f"FAILED: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

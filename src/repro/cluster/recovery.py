@@ -61,16 +61,17 @@ every phase. A compute phase runs the missing shards' launch steps on
 their current owners through :meth:`~repro.cluster.rack.Cluster.run_steps`:
 one process per owner, owners in parallel, several shards on one
 owner back to back — the same compute contract as the fault-free
-path. A simulation phase runs heartbeats + epoch-tagged sends + a
-lease-guarded collector at the current leader + drain loops at every
-other live endpoint. A phase always terminates: the leader's
-collector bounds itself by the stall patience, and the drain loops
-exit on the shared phase-over flag, on their own endpoint's death, or
-by reporting the leader's lease expiry. Only simulation phases spend
-the :attr:`RecoveryConfig.watchdog_events` budget; a compute phase
-scales with the data (an 8-DPU TPC-H Q1 scan at scale 0.01 is ~10^4
-events, more than any simulation phase of that job) and runs under
-whatever watchdog the engine already has.
+path. A simulation phase runs heartbeats + epoch-tagged sends + one
+lease-guarded collector per live endpoint: the current leader's, the
+receivers' of an exchange, and at every other endpoint a collector
+with nothing to collect. A phase always terminates: the leader's
+collector bounds itself by the stall patience, and every other
+collector exits on the shared phase-over flag, on its own endpoint's
+death, or by reporting the leader's lease expiry. Only simulation
+phases spend the :attr:`RecoveryConfig.watchdog_events` budget; a
+compute phase scales with the data (an 8-DPU TPC-H Q1 scan at scale
+0.01 is ~10^4 events, more than any simulation phase of that job) and
+runs under whatever watchdog the engine already has.
 
 Activated only when the cluster's :class:`~repro.faults.FaultPlan`
 carries chaos specs; ``FaultPlan.none()`` keeps every job on the
@@ -98,6 +99,34 @@ __all__ = [
 
 HEARTBEAT_BYTES = 16  # one verbs inline send: seq + source id
 JOURNAL_HEADER_BYTES = 32  # job tag + epoch + shard key + owner framing
+
+
+def a9_uplink(cluster, src: int, dst: int, payload: Any, nbytes: int,
+              delay: Optional[Callable[[int], float]] = None
+              ) -> Tuple[Any, Any]:
+    """The paper's send path (§4): core 0 of DPU ``src`` mailboxes a
+    pointer to ``payload`` (bulk stays in DRAM) to its A9, which ships
+    ``nbytes`` over the fabric to DPU ``dst``'s A9. The payload rides
+    the mailbox, so two sends in flight on one DPU can never
+    cross-deliver. ``delay(src)``, read when the A9 picks the message
+    up, adds A9-side cycles first (the recovery layer's straggler
+    dilation). Returns the core and A9 processes."""
+    engine = cluster.engine
+    dpu = cluster.dpus[src]
+
+    def core_side():
+        core = dpu.context(0)
+        yield from core.mbox_send(A9_ID, (payload, nbytes))
+
+    def a9_side():
+        _core, (message, size) = yield from dpu.mailbox.receive(A9_ID)
+        extra = delay(src) if delay is not None else 0.0
+        if extra:
+            yield engine.timeout(extra)
+        yield from cluster.fabric.send(src, dst, message, size)
+
+    return (engine.process(core_side(), name=f"a9.core[{src}]"),
+            engine.process(a9_side(), name=f"a9.uplink[{src}]"))
 
 
 class ClusterError(RuntimeError):
@@ -541,33 +570,38 @@ class RecoveryManager:
             if metrics.enabled:
                 metrics.flush()
 
-    def _collector(self, endpoint: int, kind: str, needed: Set[Any],
-                   arrivals: Dict[Any, Tuple[Any, int, int]],
-                   min_epoch: Dict[Any, int],
-                   leader: int, phase_over: List[bool],
+    def _collector(self, endpoint: int, leader: int, phase_over: List[bool],
+                   kind: Optional[str] = None,
+                   needed: Optional[Set[Any]] = None,
+                   arrivals: Optional[Dict[Any, Tuple[Any, int, int]]] = None,
+                   min_epoch: Optional[Dict[Any, int]] = None,
                    local_keys: Optional[Callable[[], Set[Any]]] = None,
                    watch: Optional[Callable[[], Dict[Any, int]]] = None,
-                   standbys: Sequence[int] = (),
-                   journal: bool = False):
+                   standbys: Sequence[int] = ()):
         """Build one lease-guarded collector process for ``endpoint``.
 
         Drains epoch-tagged ``kind`` messages into ``arrivals`` as
         ``key -> (value, sender endpoint, receiver endpoint)`` (dedup
         by key, first result wins), heartbeats into the lease table,
-        and journal records into the local replica. The leader-role
-        collector (``endpoint == leader``) replicates each accepted
-        acknowledgement to the ``standbys`` *before* recording the
-        arrival (when ``journal`` is set), evaluates worker leases via
-        ``watch``, and bounds the phase by the stall patience; every
-        other collector keeps draining until the shared ``phase_over``
-        flag flips, reporting ``("leader_dead", [leader])`` if the
-        leader's lease expires first. All roles return ``("halted",
-        [])`` if their own endpoint is past its fail-stop instant — a
-        phase can therefore never hang until the global watchdog.
+        and journal records into the local replica. Without a ``kind``
+        the collector has nothing to collect: it keeps a live
+        endpoint's inbox (and its receive credits) flowing, applies
+        journal records, and counts every job payload as stale. The
+        leader-role collector (``endpoint == leader``) replicates each
+        accepted acknowledgement to the ``standbys`` *before* recording
+        the arrival, evaluates worker leases via ``watch``, and bounds
+        the phase by the stall patience; every other collector keeps
+        draining until the shared ``phase_over`` flag flips, reporting
+        ``("leader_dead", [leader])`` if the leader's lease expires
+        first. All roles return ``("halted", [])`` if their own
+        endpoint is past its fail-stop instant — a phase can therefore
+        never hang until the global watchdog.
         """
         engine = self.cluster.engine
         fabric = self.cluster.fabric
         config = self.config
+        if needed is None:
+            needed = set()
         mine = local_keys if local_keys is not None else (lambda: needed)
         is_leader = endpoint == leader
 
@@ -611,7 +645,7 @@ class RecoveryManager:
                         elif key not in needed:
                             self.stats.duplicates += 1
                         else:
-                            if is_leader and journal and standbys:
+                            if is_leader and standbys:
                                 # Replicate-before-ack: the record is
                                 # on the wire to every standby before
                                 # the leader treats the shard as
@@ -675,102 +709,29 @@ class RecoveryManager:
             process(), name=f"recover.collect[{endpoint}]"
         )
 
-    def _drainer(self, endpoint: int, leader: int,
-                 phase_over: List[bool]):
-        """Heartbeat/journal drain loop for a live endpoint with no
-        collect role this phase. Keeps the endpoint's inbox (and its
-        receive credits) flowing, applies journal records to the local
-        replica, and is the detection path for leader death: when the
-        leader's lease expires here, the phase ends with
-        ``("leader_dead", [leader])``."""
-        engine = self.cluster.engine
-        fabric = self.cluster.fabric
-        config = self.config
-
-        def process():
-            while True:
-                if fabric.endpoint_dead(endpoint):
-                    return ("halted", [])
-                if phase_over[0]:
-                    return ("done", [])
-                abort = engine.timeout(config.heartbeat_interval_cycles)
-                message = yield from fabric.receive(endpoint,
-                                                    abort_event=abort)
-                if message is not None:
-                    abort.cancel()
-                    if fabric.endpoint_dead(endpoint):
-                        return ("halted", [])
-                    _src, payload = message
-                    label = payload[0]
-                    if label == "hb":
-                        if payload[1] not in self.declared_dead:
-                            self.last_seen[payload[1]] = engine.now
-                    elif label == "jrn":
-                        (_label, msg_tag, _epoch, key, owner, value,
-                         _nbytes) = payload
-                        if msg_tag == self._job_tag:
-                            self._journal.setdefault(
-                                endpoint, {})[key] = (value, owner)
-                    else:
-                        self.stats.stale_discards += 1
-                now = engine.now
-                if (leader not in self.declared_dead
-                        and now - self.last_seen.get(leader, now)
-                        > config.lease_cycles):
-                    phase_over[0] = True
-                    return ("leader_dead", [leader])
-
-        return engine.process(
-            process(), name=f"recover.drain[{endpoint}]"
-        )
-
     def _spawn_sender(self, owner: int, dst: int, kind: str, key: Any,
                       value: Any, nbytes: int) -> None:
-        """Paper-faithful send path with dilation: core 0 mailboxes the
-        result pointer to the local A9; the A9 (dilated when inside a
-        ``dpu.slow`` window) ships the epoch-tagged message to the
-        current leader. The payload rides the mailbox so two in-flight
-        sends on one DPU can never cross-deliver."""
-        cluster = self.cluster
-        engine = cluster.engine
-        fabric = cluster.fabric
-        dpu = cluster.dpus[owner]
-        tag, epoch = self._job_tag, self.epoch
-
-        def core_side():
-            core = dpu.context(0)
-            yield from core.mbox_send(A9_ID, (key, value, nbytes))
-
-        def a9_side():
-            _src, (msg_key, msg_value, msg_bytes) = (
-                yield from dpu.mailbox.receive(A9_ID)
-            )
-            delay = self.slow_delay(owner)
-            if delay:
-                yield engine.timeout(delay)
-            yield from fabric.send(
-                owner, dst,
-                (kind, tag, epoch, msg_key, owner, msg_value, msg_bytes),
-                msg_bytes,
-            )
-
-        engine.process(core_side(), name=f"recover.core[{owner}]")
-        engine.process(a9_side(), name=f"recover.uplink[{owner}]")
+        """Ship one epoch-tagged ``kind`` message from ``owner`` to
+        ``dst`` on the paper's core -> A9 -> fabric path
+        (:func:`a9_uplink`), dilated while ``owner`` is inside a
+        ``dpu.slow`` window."""
+        a9_uplink(self.cluster, owner, dst,
+                  (kind, self._job_tag, self.epoch, key, owner, value, nbytes),
+                  nbytes, delay=self.slow_delay)
 
     # -- the merge-family retry loop ----------------------------------------
 
     def run_job(
         self,
         site: str,
-        compute: Callable[[int, Any, int], Any],
+        compute: Callable[[int, Any], Any],
         merge: Callable[[Any, Any], Any],
         nbytes_of: Callable[[Any], int],
         owners: Optional[Dict[int, int]] = None,
-        num_shards: Optional[int] = None,
     ) -> Tuple[Any, float]:
         """Run a merge-family job to completion under faults.
 
-        ``compute(shard, dpu, dpu_index)`` returns the launch steps of
+        ``compute(shard, dpu)`` returns the launch steps of
         one shard's partial (see
         :meth:`~repro.cluster.rack.Cluster.run_steps`); it must be
         deterministic — re-execution on a survivor must reproduce the
@@ -785,7 +746,7 @@ class RecoveryManager:
         cluster = self.cluster
         engine = cluster.engine
         config = self.config
-        count = num_shards if num_shards is not None else cluster.num_dpus
+        count = cluster.num_dpus
         shard_owner: Dict[int, int] = (
             dict(owners) if owners else {k: k for k in range(count)}
         )
@@ -812,7 +773,7 @@ class RecoveryManager:
             work = [(key, shard_owner[key]) for key in sorted(needed)
                     if value_owner.get(key) != shard_owner[key]]
             computed = cluster.run_steps([
-                (owner, compute(key, cluster.dpus[owner], owner))
+                (owner, compute(key, cluster.dpus[owner]))
                 for key, owner in work
             ])
             for (key, owner), value in zip(work, computed):
@@ -821,8 +782,8 @@ class RecoveryManager:
                 values[key] = value
                 value_owner[key] = owner
             # Simulation phase: epoch-tagged sends race the detector's
-            # lease-guarded collector at the current leader, with a
-            # drain loop on every other live endpoint.
+            # lease-guarded collector at the current leader; every other
+            # live endpoint runs a collector with nothing to collect.
             for key in sorted(needed):
                 if round_index > 0:
                     self.stats.resends += 1
@@ -833,16 +794,14 @@ class RecoveryManager:
             self._grant_leases()
             phase_over = [False]
             collector = self._collector(
-                leader, "data", needed, arrivals, min_epoch,
-                leader=leader, phase_over=phase_over,
-                watch=lambda: {k: shard_owner[k] for k in needed},
-                standbys=standbys, journal=True,
+                leader, leader, phase_over, "data", needed, arrivals,
+                min_epoch, watch=lambda: {k: shard_owner[k] for k in needed},
+                standbys=standbys,
             )
-            drainers = [
-                self._drainer(endpoint, leader, phase_over)
+            participants = [collector] + [
+                self._collector(endpoint, leader, phase_over)
                 for endpoint in self.alive() if endpoint != leader
             ]
-            participants = [collector] + drainers
             self._drive(
                 engine.all_of(participants), site,
                 sorted({shard_owner[k] for k in needed}),
@@ -903,7 +862,7 @@ class RecoveryManager:
                                 shard=key, backup=backup,
                             )
                 backup_values = cluster.run_steps([
-                    (backup, compute(key, cluster.dpus[backup], backup))
+                    (backup, compute(key, cluster.dpus[backup]))
                     for key, backup in speculative
                 ])
                 for (key, backup), backup_value in zip(speculative,
@@ -942,7 +901,7 @@ class RecoveryManager:
         the exchange instead of restarting it. Returns a
         :class:`~repro.cluster.shuffle.ShuffleResult`.
         """
-        from .shuffle import ShuffleResult, partition_source
+        from .shuffle import partition_source, reassemble
 
         cluster = self.cluster
         engine = cluster.engine
@@ -959,7 +918,6 @@ class RecoveryManager:
         partitions: Dict[int, List[np.ndarray]] = {}
         partition_owner: Dict[int, int] = {}
         partition_cycles = 0.0
-        record_width = 0
         dtypes = None
         exchange_began = engine.now
         arrivals: Dict[Tuple[int, int], Tuple[np.ndarray, int, int]] = {}
@@ -993,7 +951,7 @@ class RecoveryManager:
                 for slot, owner in work
             ])
             for (slot, owner), source in zip(work, sources):
-                raws, cycles, record_width, dtypes = source
+                raws, cycles, _record_width, dtypes = source
                 partitions[slot] = raws
                 partition_owner[slot] = owner
                 partition_cycles = max(partition_cycles, cycles)
@@ -1023,10 +981,9 @@ class RecoveryManager:
                     if round_index > 0:
                         self.stats.resends += 1
                     raw = partitions[src_slot][dst_slot]
-                    self._spawn_exchange_sender(
-                        owner, slot_owner[dst_slot],
-                        (src_slot, dst_slot), raw,
-                    )
+                    self._spawn_sender(owner, slot_owner[dst_slot], "x",
+                                       (src_slot, dst_slot), raw,
+                                       int(raw.nbytes))
             self._grant_leases()
             phase_over = [False]
             dest_owners = sorted({slot_owner[d] for _s, d in pending})
@@ -1043,26 +1000,23 @@ class RecoveryManager:
                     if slot_owner[pair[1]] == endpoint
                 }
                 collectors.append(self._collector(
-                    endpoint, "x", needed, arrivals, min_epoch,
-                    leader=leader, phase_over=phase_over,
-                    local_keys=lambda local=local: local & needed,
+                    endpoint, leader, phase_over, "x", needed, arrivals,
+                    min_epoch, local_keys=lambda local=local: local & needed,
                     watch=(lambda: watched) if endpoint == leader else None,
                 ))
             if leader not in dest_owners:
                 # Keep the detector draining heartbeats even when the
                 # leader receives no pairs this round.
                 collectors.append(self._collector(
-                    leader, "x", needed, arrivals, min_epoch,
-                    leader=leader, phase_over=phase_over,
-                    local_keys=lambda: set(),
+                    leader, leader, phase_over, "x", needed, arrivals,
+                    min_epoch, local_keys=lambda: set(),
                     watch=lambda: watched,
                 ))
-            drainers = [
-                self._drainer(endpoint, leader, phase_over)
+            participants = collectors + [
+                self._collector(endpoint, leader, phase_over)
                 for endpoint in self.alive()
                 if endpoint != leader and endpoint not in dest_owners
             ]
-            participants = collectors + drainers
             self._drive(
                 engine.all_of(participants), site,
                 sorted({slot_owner[s] for s, _d in pending_pairs()}),
@@ -1108,10 +1062,9 @@ class RecoveryManager:
                                 "recover.speculative_launch",
                                 pair=str(pair), backup=backup,
                             )
-                        self._spawn_exchange_sender(
-                            backup, slot_owner[pair[1]], pair,
-                            partitions[pair[0]][pair[1]],
-                        )
+                        raw = partitions[pair[0]][pair[1]]
+                        self._spawn_sender(backup, slot_owner[pair[1]], "x",
+                                           pair, raw, int(raw.nbytes))
         remaining = pending_pairs()
         if remaining:
             raise self._error(
@@ -1124,38 +1077,12 @@ class RecoveryManager:
             if pair in arrivals and arrivals[pair][1] == backup
         )
         self.last_slot_owner = dict(slot_owner)
-
-        # Reassembly in source-slot order (deterministic regardless of
-        # arrival order), exactly like the fault-free exchange.
-        from ..apps.sql.aggregate import _parse_records
-
-        columns: List[Dict[str, np.ndarray]] = []
-        rows_moved = 0
-        bytes_moved = 0
-        for dst in slots:
-            parts = []
-            for src in slots:
-                if src == dst or slot_owner[src] == slot_owner[dst]:
-                    raw = partitions[src][dst]
-                else:
-                    raw = arrivals[(src, dst)][0]
-                if src != dst:
-                    rows_moved += (raw.nbytes // record_width
-                                   if record_width else 0)
-                    bytes_moved += int(raw.nbytes)
-                if raw.nbytes:
-                    parts.append(raw)
-            raw_all = (np.concatenate(parts) if parts
-                       else np.empty(0, dtype=np.uint8))
-            arrays = _parse_records(raw_all, dtypes)
-            columns.append(dict(zip(names, arrays)))
-        return ShuffleResult(
-            columns=columns,
-            partition_cycles=partition_cycles,
-            exchange_cycles=engine.now - exchange_began,
-            rows_moved=rows_moved,
-            bytes_moved=bytes_moved,
-        )
+        return reassemble(
+            [[partitions[src][dst]
+              if slot_owner[src] == slot_owner[dst]
+              else arrivals[(src, dst)][0] for src in slots]
+             for dst in slots],
+            names, dtypes, partition_cycles, engine.now - exchange_began)
 
     def _replicate_exchange_state(self, leader: int,
                                   standbys: Sequence[int],
@@ -1180,34 +1107,3 @@ class RecoveryManager:
                 name=f"recover.jctl[{leader}->{standby}]",
                 daemon=True,
             )
-
-    def _spawn_exchange_sender(self, src_endpoint: int, dst_endpoint: int,
-                               pair: Tuple[int, int],
-                               raw: np.ndarray) -> None:
-        """One epoch-tagged pair transfer between A9 endpoints, with
-        straggler dilation on the sending side."""
-        cluster = self.cluster
-        engine = cluster.engine
-        fabric = cluster.fabric
-        dpu = cluster.dpus[src_endpoint]
-        tag, epoch = self._job_tag, self.epoch
-
-        def core_side():
-            core = dpu.context(0)
-            yield from core.mbox_send(A9_ID, (pair, raw, int(raw.nbytes)))
-
-        def a9_side():
-            _src, (msg_pair, payload, nbytes) = (
-                yield from dpu.mailbox.receive(A9_ID)
-            )
-            delay = self.slow_delay(src_endpoint)
-            if delay:
-                yield engine.timeout(delay)
-            yield from fabric.send(
-                src_endpoint, dst_endpoint,
-                ("x", tag, epoch, msg_pair, src_endpoint, payload, nbytes),
-                nbytes,
-            )
-
-        engine.process(core_side(), name=f"recover.xcore[{src_endpoint}]")
-        engine.process(a9_side(), name=f"recover.xlink[{src_endpoint}]")

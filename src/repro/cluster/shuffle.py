@@ -71,6 +71,7 @@ __all__ = [
     "ShuffleResult",
     "ShuffleRackModel",
     "partition_source",
+    "reassemble",
     "shuffle_spec",
     "shuffle_cids",
     "shuffle_exchange",
@@ -304,8 +305,6 @@ def shuffle_exchange(
     if names is None:
         names = list(dtables[0].table.column_names)
     names = [key] + [name for name in names if name != key]
-    dtypes = [dtables[0].table.column(name).dtype for name in names]
-    record_width = sum(dtype.itemsize for dtype in dtypes)
     engine = cluster.engine
 
     # Phase 1: every source DPU partitions its table at the same time;
@@ -323,8 +322,6 @@ def shuffle_exchange(
     # bursts into one endpoint; receivers index by source so the
     # reassembly order is deterministic regardless of arrival order.
     exchange_began = engine.now
-    rows_moved = 0
-    bytes_moved = 0
     processes = []
     collectors = []
     for src, dpu in enumerate(cluster.dpus):
@@ -333,8 +330,6 @@ def shuffle_exchange(
             dst = (src + offset) % num_dpus
             raw = partitions[src][dst]
             outbound.append((dst, raw, int(raw.nbytes)))
-            rows_moved += raw.nbytes // record_width
-            bytes_moved += int(raw.nbytes)
 
         def announce(dpu=dpu, outbound=outbound):
             core = dpu.context(0)
@@ -346,11 +341,11 @@ def shuffle_exchange(
                 yield from cluster.fabric.send(src, dst, payload, nbytes)
 
         def gather(dst=src):
-            received = {}
+            received = {dst: partitions[dst][dst]}
             for _ in range(num_dpus - 1):
                 sender, payload = yield from cluster.fabric.receive(dst)
                 received[sender] = payload
-            return received
+            return [received[source] for source in range(num_dpus)]
 
         processes.append(engine.process(announce()))
         processes.append(engine.process(scatter(), name=f"a9.shuffle_out[{src}]"))
@@ -362,26 +357,33 @@ def shuffle_exchange(
     if cluster.metrics.enabled:
         cluster.metrics.observe("shuffle.partition.cycles", partition_cycles)
         cluster.metrics.observe("shuffle.exchange.cycles", exchange_cycles)
+    return reassemble([collector.value for collector in collectors], names,
+                      sources[0][3], partition_cycles, exchange_cycles)
 
-    # Phase 3: reassemble columns per destination, in source order.
+
+def reassemble(inbound: Sequence[Sequence[np.ndarray]], names: Sequence[str],
+               dtypes, partition_cycles: float,
+               exchange_cycles: float) -> ShuffleResult:
+    """Phase 3 of an exchange, on either transport: each destination
+    slot concatenates the row-major records ``inbound[dst][src]`` in
+    source order (deterministic whatever the arrival order) and splits
+    them back into ``names`` columns. A slot's records for itself
+    (``src == dst``) do not count as moved."""
+    record_width = sum(dtype.itemsize for dtype in dtypes)
     columns: List[Dict[str, np.ndarray]] = []
-    for dst in range(num_dpus):
-        received = collectors[dst].value
-        parts = []
-        for src in range(num_dpus):
-            raw = (partitions[src][dst] if src == dst
-                   else received[src])
-            if raw.nbytes:
-                parts.append(raw)
+    bytes_moved = 0
+    for dst, blobs in enumerate(inbound):
+        bytes_moved += sum(int(raw.nbytes) for src, raw in enumerate(blobs)
+                           if src != dst)
+        parts = [raw for raw in blobs if raw.nbytes]
         raw_all = (np.concatenate(parts) if parts
                    else np.empty(0, dtype=np.uint8))
-        arrays = _parse_records(raw_all, dtypes)
-        columns.append(dict(zip(names, arrays)))
+        columns.append(dict(zip(names, _parse_records(raw_all, dtypes))))
     return ShuffleResult(
         columns=columns,
         partition_cycles=partition_cycles,
         exchange_cycles=exchange_cycles,
-        rows_moved=rows_moved,
+        rows_moved=bytes_moved // record_width,
         bytes_moved=bytes_moved,
     )
 

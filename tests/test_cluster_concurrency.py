@@ -115,7 +115,7 @@ JOBS = {
 
 
 class TestCriticalPath:
-    @pytest.mark.parametrize("num_dpus", [2, 4, 8])
+    @pytest.mark.parametrize("num_dpus", [1, 2, 4, 8])
     @pytest.mark.parametrize("job", sorted(JOBS))
     def test_cycles_equal_parallel_cycles(self, inputs, job, num_dpus):
         result = JOBS[job](Cluster(num_dpus), num_dpus, inputs)
@@ -125,6 +125,12 @@ class TestCriticalPath:
             detail["parallel_cycles"] + detail["admission_cycles"],
             rel=1e-12, abs=0.0)
         assert detail["local_cycles"] > 0
+        if num_dpus == 1:
+            # One DPU: nothing to exchange, nothing to gather.
+            assert result.network_bytes == 0
+            assert detail["partition_cycles"] == 0.0
+            assert detail["exchange_cycles"] == 0.0
+            assert detail["gather_cycles"] == 0.0
 
     @pytest.mark.parametrize("job", ["filter_count", "groupby", "batched"])
     def test_admission_wait_is_the_remainder(self, inputs, job):
