@@ -23,13 +23,13 @@ from dataclasses import replace
 import numpy as np
 from conftest import run_once
 
-from repro.apps.sql import Table
+from repro.apps.sql import Table, compile_query, load_query, tpch_catalog
 from repro.apps.sql.aggregate import AggSpec
 from repro.cluster import (
     Cluster,
     ShuffleRackModel,
+    cluster_compiled_query,
     cluster_groupby,
-    cluster_tpch_q1,
 )
 from repro.workloads.tpch import generate_tpch
 
@@ -60,6 +60,7 @@ def test_sec4_scaleout_scaling(benchmark, report):
         aggs = [AggSpec("sum", "v"), AggSpec("count")]
         tpch = generate_tpch(scale=0.005, seed=42)
         lineitem = tpch.tables["lineitem"]
+        q1 = compile_query(load_query("q1"), tpch_catalog(tpch), "q1")
 
         shuffle_sims = {}
         q1_sims = {}
@@ -68,8 +69,9 @@ def test_sec4_scaleout_scaling(benchmark, report):
             shuffle_sims[num_dpus] = cluster_groupby(
                 cluster, _shard(data, num_dpus), "k", aggs
             )
-            q1_sims[num_dpus] = cluster_tpch_q1(
-                Cluster(num_dpus), _shard(lineitem, num_dpus, "lineitem")
+            q1_sims[num_dpus] = cluster_compiled_query(
+                Cluster(num_dpus), q1, _shard(lineitem, num_dpus, "lineitem"),
+                "pre_aggregate",
             )
 
         # Per-job accounting: a second identical job on the same

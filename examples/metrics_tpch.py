@@ -24,9 +24,10 @@ which is how CI uses this script.
 
 import sys
 
-from repro.apps.sql import Table, load_tpch_on_dpu, run_query
+from repro.apps.sql import (Table, compile_query, load_query,
+                            load_tpch_on_dpu, run_query, tpch_catalog)
 from repro.baseline import XeonModel
-from repro.cluster import Cluster, cluster_tpch_q1
+from repro.cluster import Cluster, cluster_compiled_query
 from repro.core import DPU
 from repro.faults import ChaosSpec, FaultPlan
 from repro.obs import validate_metrics_jsonl
@@ -71,9 +72,11 @@ def single_dpu_act(data):
 def cluster_chaos_act(data):
     """Q1 sharded over 2 DPUs, coordinator chaos-killed mid-job.
     Returns the hub and whether the result matched the reference."""
+    q1 = compile_query(load_query("q1"), tpch_catalog(data), "q1")
     shards = shard_table(data.tables["lineitem"], 2)
-    reference = cluster_tpch_q1(
-        Cluster(1), shard_table(data.tables["lineitem"], 1)
+    reference = cluster_compiled_query(
+        Cluster(1), q1, shard_table(data.tables["lineitem"], 1),
+        "pre_aggregate",
     ).value
 
     plan = FaultPlan.none().with_chaos(
@@ -85,7 +88,7 @@ def cluster_chaos_act(data):
     # sustain window detects the post-kill idle lease in between.
     hub.add_rule("rate(fabric.bytes_sent) < 1.0 for 20000",
                  name="fabric-idle")
-    result = cluster_tpch_q1(cluster, shards)
+    result = cluster_compiled_query(cluster, q1, shards, "pre_aggregate")
     matches = result.value == reference
     print(f"cluster Q1 with coordinator kill: "
           f"{'byte-equal' if matches else 'MISMATCH'}, "

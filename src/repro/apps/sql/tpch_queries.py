@@ -134,9 +134,8 @@ _Q1_KEY = GroupKey(
 def q1_plan() -> Tuple[GroupKey, List[AggSpec], Le]:
     """Q1's physical plan pieces (group key, aggregates, row filter).
 
-    Shared between the single-DPU query and the cluster job
-    (:func:`repro.cluster.scaleout.cluster_tpch_q1`), which runs the
-    same plan per shard and merges the partials.
+    Shared by the hand-written single-DPU query and the plan-parity
+    checks against the compiled Q1.
     """
     return _Q1_KEY, _q1_aggs(), Le("l_shipdate", _Q1_CUTOFF)
 

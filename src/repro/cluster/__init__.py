@@ -17,7 +17,6 @@ from .scaleout import (
     cluster_hll,
     cluster_partitioned_join_count,
     cluster_topk,
-    cluster_tpch_q1,
 )
 from .shuffle import (
     ShuffleRackModel,
@@ -48,7 +47,6 @@ __all__ = [
     "cluster_hll",
     "cluster_partitioned_join_count",
     "cluster_topk",
-    "cluster_tpch_q1",
     "partition_source",
     "shuffle_cids",
     "shuffle_exchange",

@@ -70,6 +70,10 @@ class Cluster:
         self.admission = None
         # Continuous metrics: the no-op hub until enable_metrics().
         self.metrics = NULL_HUB
+        # While a cluster job times its phases (scaleout._Job), the
+        # (began, ended) engine instants of every run_steps call;
+        # None otherwise.
+        self.steps_spans: Optional[List[Tuple[float, float]]] = None
         # Rack-scale fault tolerance (see repro.cluster.recovery):
         # active only when the plan schedules chaos events, so a plain
         # FaultPlan keeps every job on the exact pre-recovery path.
@@ -137,7 +141,9 @@ class Cluster:
         engine runs until every DPU is done; returns the steps' values
         in ``work`` order. If any entry raised, the first such error
         (in ``work`` order) is re-raised unchanged once every DPU has
-        stopped; a DPU stops at its first error.
+        stopped; a DPU stops at its first error. The call's
+        ``(began, ended)`` span joins :attr:`steps_spans` when a
+        cluster job is timing its phases.
         """
         if not work:
             return []
@@ -146,6 +152,7 @@ class Cluster:
             queues.setdefault(index, []).append((slot, steps))
         values: List[Any] = [None] * len(work)
         errors: Dict[int, BaseException] = {}
+        began = self.engine.now
 
         def runner(dpu, queue):
             for slot, steps in queue:
@@ -160,6 +167,8 @@ class Cluster:
                                 name=f"{self.dpus[index].name}.steps")
             for index, queue in sorted(queues.items())
         ])
+        if self.steps_spans is not None:
+            self.steps_spans.append((began, self.engine.now))
         if errors:
             raise errors[min(errors)]
         return values

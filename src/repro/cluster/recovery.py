@@ -728,7 +728,7 @@ class RecoveryManager:
         merge: Callable[[Any, Any], Any],
         nbytes_of: Callable[[Any], int],
         owners: Optional[Dict[int, int]] = None,
-    ) -> Tuple[Any, float]:
+    ) -> Any:
         """Run a merge-family job to completion under faults.
 
         ``compute(shard, dpu)`` returns the launch steps of
@@ -740,8 +740,7 @@ class RecoveryManager:
         speculative copies cannot perturb the result, and the merge
         happens exactly once, on the final leader, after every shard
         has arrived — one result per job even when the job internally
-        ran under two leaders. Returns ``(merged value, phase
-        cycles)``.
+        ran under two leaders. Returns the merged value.
         """
         cluster = self.cluster
         engine = cluster.engine
@@ -755,7 +754,6 @@ class RecoveryManager:
             if shard_owner[key] in self.declared_dead:
                 shard_owner[key] = self._survivor_for(key)
                 rerouted.add(key)
-        began = engine.now
         needed: Set[int] = set(range(count))
         arrivals: Dict[int, Tuple[Any, int, int]] = {}
         min_epoch = {key: self.epoch for key in needed}
@@ -884,7 +882,7 @@ class RecoveryManager:
         merged = None
         for key in range(count):
             merged = merge(merged, arrivals[key][0])
-        return merged, engine.now - began
+        return merged
 
     # -- the restartable exchange -------------------------------------------
 
@@ -917,9 +915,7 @@ class RecoveryManager:
 
         partitions: Dict[int, List[np.ndarray]] = {}
         partition_owner: Dict[int, int] = {}
-        partition_cycles = 0.0
         dtypes = None
-        exchange_began = engine.now
         arrivals: Dict[Tuple[int, int], Tuple[np.ndarray, int, int]] = {}
         min_epoch: Dict[Tuple[int, int], int] = {
             (s, d): self.epoch for s in slots for d in slots if s != d
@@ -951,10 +947,9 @@ class RecoveryManager:
                 for slot, owner in work
             ])
             for (slot, owner), source in zip(work, sources):
-                raws, cycles, _record_width, dtypes = source
+                raws, _cycles, _record_width, dtypes = source
                 partitions[slot] = raws
                 partition_owner[slot] = owner
-                partition_cycles = max(partition_cycles, cycles)
                 if round_index > 0:
                     self.stats.reexecuted_shards += 1
             pending = pending_pairs()
@@ -1082,7 +1077,7 @@ class RecoveryManager:
               if slot_owner[src] == slot_owner[dst]
               else arrivals[(src, dst)][0] for src in slots]
              for dst in slots],
-            names, dtypes, partition_cycles, engine.now - exchange_began)
+            names, dtypes)
 
     def _replicate_exchange_state(self, leader: int,
                                   standbys: Sequence[int],

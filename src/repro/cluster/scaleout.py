@@ -18,17 +18,19 @@ Two job families:
   :func:`cluster_partitioned_join_count` and :func:`cluster_topk`
   redistribute (or rank) rows with the
   :mod:`~repro.cluster.shuffle` partitioned exchange so each DPU owns
-  a disjoint key range; :func:`cluster_tpch_q1` instead pre-aggregates
-  per shard and merges 4-group partials — with NDV ~4, shipping the
-  group table (a few hundred bytes) beats shuffling the whole
-  lineitem, the classic aggregate-pushdown tradeoff.
+  a disjoint key range; :func:`cluster_compiled_query` runs a
+  planner-compiled SQL query either way, and its ``pre_aggregate``
+  exchange (TPC-H Q1) instead pre-aggregates per shard and merges
+  4-group partials — with NDV ~4, shipping the group table (a few
+  hundred bytes) beats shuffling the whole lineitem, the classic
+  aggregate-pushdown tradeoff.
 
 Each DPU's local phase (partition, sketch, scan, join...) runs as its
 own process on the shared engine (:meth:`Cluster.run_steps`), so the
 DPUs work at the same time and meet only at the exchange and the
 gather, as in the paper's rack: ``ScaleOutResult.cycles`` is the
-job's critical path, and fault-free it equals
-``detail["parallel_cycles"]`` plus the coordinator's admission wait.
+job's critical path, and it equals ``detail["parallel_cycles"]`` plus
+the coordinator's admission wait, fault-free and under chaos alike.
 
 Every job reports **per-job** fabric accounting: ``network_bytes``
 and ``retransmissions`` are deltas from the job's start, so
@@ -46,6 +48,7 @@ the final leader, after every shard arrived).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -61,7 +64,6 @@ from ..apps.sql.aggregate import (
 )
 from ..apps.sql.join import dpu_partitioned_join_count
 from ..apps.sql.topk import dpu_topk
-from ..apps.sql.tpch_queries import q1_plan
 from .rack import Cluster
 from .recovery import ClusterError, RecoveryStats, a9_uplink
 from .shuffle import ShuffleResult, shuffle_exchange
@@ -74,7 +76,6 @@ __all__ = [
     "cluster_hll",
     "cluster_partitioned_join_count",
     "cluster_topk",
-    "cluster_tpch_q1",
 ]
 
 
@@ -126,9 +127,17 @@ class _Job:
     :meth:`run_shards` run the job's phases on whichever path is
     active — the fault-free path with the coordinator pinned to DPU 0,
     or the :class:`~repro.cluster.recovery.RecoveryManager` retry
-    loops — and record each phase's cycles; the job's ``compute`` is
-    the same on both, and :meth:`result` turns the phases into
-    ``detail``.
+    loops — and the job's ``compute`` is the same on both.
+
+    Both paths move the shared clock in only two ways: per-DPU compute
+    through :meth:`Cluster.run_steps`, and everything else on the A9s
+    and the fabric. So the phases are read off the clock
+    (:meth:`_clock`): partition is the time spent inside ``run_steps``
+    during :meth:`exchange` and exchange the rest of it; local is the
+    time spent inside ``run_steps`` during :meth:`run_shards` and
+    gather the rest of it. They add up to the job's ``cycles`` less
+    its admission wait, under chaos too, and :meth:`result` turns them
+    into ``detail``.
 
     A one-DPU cluster has nothing to exchange and nothing to gather:
     its one shard already holds every key, and its partial is the
@@ -148,8 +157,7 @@ class _Job:
         self.manager = None
         # Slot -> DPU map of the last exchange (None: slot i on DPU i).
         self.owners: Optional[Dict[int, int]] = None
-        # Each per-DPU phase contributes its slowest DPU; the two
-        # exchanges of a join add up.
+        # The two exchanges of a join add up.
         self.phases = dict.fromkeys(_PHASES + ("rows_moved",), 0.0)
 
     def __enter__(self) -> "_Job":
@@ -174,6 +182,28 @@ class _Job:
             return None
         return self.ticket.fanout(list(dpu.config.core_ids))
 
+    @contextmanager
+    def _clock(self, compute_phase: str, fabric_phase: str):
+        """Charge the shared clock the enclosed block spends inside
+        :meth:`Cluster.run_steps` to ``compute_phase`` and the rest to
+        ``fabric_phase``. Yields a dict that holds the block's two
+        values once it ends."""
+        cluster = self.cluster
+        spans = cluster.steps_spans = []
+        spent = dict.fromkeys((compute_phase, fabric_phase), 0.0)
+        mark = cluster.engine.now
+        try:
+            yield spent
+        finally:
+            cluster.steps_spans = None
+        for began, ended in spans:
+            spent[fabric_phase] += began - mark
+            spent[compute_phase] += ended - began
+            mark = ended
+        spent[fabric_phase] += cluster.engine.now - mark
+        for phase, cycles in spent.items():
+            self.phases[phase] += cycles
+
     def exchange(self, *sides: Tuple[Sequence[Table], str, Sequence[str]],
                  sites: Sequence[str] = ()) -> List[ShuffleResult]:
         """Shuffle each side's host ``tables`` (one per DPU) by
@@ -184,58 +214,55 @@ class _Job:
         timing) does not depend on an earlier shuffle's freed regions.
         On one DPU every side stays as it is: zero cycles, nothing moved.
         """
-        if self.cluster.num_dpus == 1:
-            return [ShuffleResult([dict(tables[0].columns)], 0.0, 0.0, 0, 0)
+        cluster = self.cluster
+        if cluster.num_dpus == 1:
+            return [ShuffleResult([dict(tables[0].columns)], 0, 0)
                     for tables, _key, _names in sides]
-        if self.manager is not None:
-            shuffled = []
-            for index, (tables, key, names) in enumerate(sides):
-                site = sites[index] if sites else self.site
-                shuffled.append(
-                    self.manager.run_exchange(site, tables, key, names))
-                self.owners = dict(self.manager.last_slot_owner)
-        else:
-            dpus = self.cluster.dpus
-            stored = [[table.to_dpu(dpu) for table, dpu in zip(tables, dpus)]
+        if self.manager is None:
+            stored = [[table.to_dpu(dpu)
+                       for table, dpu in zip(tables, cluster.dpus)]
                       for tables, _key, _names in sides]
-            shuffled = [shuffle_exchange(self.cluster, dtables, key, names)
-                        for dtables, (_tables, key, names)
-                        in zip(stored, sides)]
-        for result in shuffled:
-            self.phases["partition_cycles"] += result.partition_cycles
-            self.phases["exchange_cycles"] += result.exchange_cycles
+        shuffled = []
+        for index, (tables, key, names) in enumerate(sides):
+            with self._clock("partition_cycles", "exchange_cycles") as spent:
+                if self.manager is not None:
+                    result = self.manager.run_exchange(
+                        sites[index] if sites else self.site,
+                        tables, key, names)
+                    self.owners = dict(self.manager.last_slot_owner)
+                else:
+                    result = shuffle_exchange(cluster, stored[index], key,
+                                              names)
+            if cluster.metrics.enabled:
+                cluster.metrics.observe("shuffle.partition.cycles",
+                                        spent["partition_cycles"])
+                cluster.metrics.observe("shuffle.exchange.cycles",
+                                        spent["exchange_cycles"])
             self.phases["rows_moved"] += result.rows_moved
+            shuffled.append(result)
         return shuffled
 
     def run_shards(self, compute, merge, nbytes_of):
         """Local phase plus gather; returns the merged partials.
 
         ``compute(shard, dpu)`` returns the launch steps of one shard's
-        ``(partial, cycles)`` (see :meth:`Cluster.run_steps`).
-        Fault-free, every DPU computes its own shard at the same time,
-        then each ships its partial to coordinator 0."""
-        phases = self.phases
-
-        def local(shard, dpu):
-            partial, cycles = yield from compute(shard, dpu)
-            phases["local_cycles"] = max(phases["local_cycles"], cycles)
-            return partial
-
-        if self.manager is not None:
-            merged, phases["gather_cycles"] = self.manager.run_job(
-                self.site, local, merge, nbytes_of=nbytes_of,
-                owners=self.owners)
-            return merged
+        partial (see :meth:`Cluster.run_steps`). Fault-free, every DPU
+        computes its own shard at the same time, then each ships its
+        partial to coordinator 0."""
         cluster = self.cluster
-        partials = cluster.run_steps([
-            (index, local(index, dpu))
-            for index, dpu in enumerate(cluster.dpus)
-        ])
-        if cluster.num_dpus == 1:
-            return merge(None, partials[0])
-        merged, phases["gather_cycles"] = _gather_partials(
-            cluster, partials, nbytes_of, merge, site=self.site)
-        return merged
+        with self._clock("local_cycles", "gather_cycles"):
+            if self.manager is not None:
+                return self.manager.run_job(
+                    self.site, compute, merge, nbytes_of=nbytes_of,
+                    owners=self.owners)
+            partials = cluster.run_steps([
+                (index, compute(index, dpu))
+                for index, dpu in enumerate(cluster.dpus)
+            ])
+            if cluster.num_dpus == 1:
+                return merge(None, partials[0])
+            return _gather_partials(cluster, partials, nbytes_of, merge,
+                                    site=self.site)
 
     def result(self, value, **extra) -> ScaleOutResult:
         """The job's outcome; ``extra`` entries join ``detail``."""
@@ -249,9 +276,8 @@ class _Job:
             )
         ticket = self.ticket
         detail = {name: float(self.phases[name]) for name in _PHASES}
-        # Critical path: the per-DPU phases run concurrently, so each
-        # contributes its slowest DPU, and the phases follow one
-        # another. Fault-free, ScaleOutResult.cycles is this plus the
+        # Critical path: the phases follow one another on the shared
+        # clock, so ScaleOutResult.cycles is this plus the
         # coordinator's admission wait.
         detail["parallel_cycles"] = sum(detail[name] for name in _PHASES)
         detail["rows_moved"] = float(self.phases["rows_moved"])
@@ -324,12 +350,11 @@ def _a9_collector(cluster, coordinator, expected, merge, site="gather"):
 def _gather_partials(cluster, partials, nbytes_of, merge, site="gather"):
     """Ship one partial result per DPU to coordinator 0 and merge.
 
-    Returns (merged value, gather-phase cycles). Follows the paper's
-    path on every DPU including the coordinator (its A9 loops back
-    through the fabric model): core 0 mailboxes the partial to the
-    local A9, which ships it over the fabric."""
+    Returns the merged value. Follows the paper's path on every DPU
+    including the coordinator (its A9 loops back through the fabric
+    model): core 0 mailboxes the partial to the local A9, which ships
+    it over the fabric."""
     engine = cluster.engine
-    began = engine.now
     processes = []
     for index, partial in enumerate(partials):
         processes.extend(
@@ -338,7 +363,7 @@ def _gather_partials(cluster, partials, nbytes_of, merge, site="gather"):
         _a9_collector(cluster, 0, len(partials), merge, site=site))
     processes.append(collector)
     cluster.run(processes)
-    return collector.value, engine.now - began
+    return collector.value
 
 
 def _merge_disjoint(accumulator, partial):
@@ -378,7 +403,7 @@ def cluster_hll(
                 dpu, address, len(shard), precision=precision,
                 hash_fn=hash_fn, cores=job.fanout(dpu),
             )
-            return local.detail["registers"], local.cycles
+            return local.detail["registers"]
 
         merged = job.run_shards(
             compute, _merge_registers,
@@ -402,7 +427,7 @@ def cluster_filter_count(
             table = Table(f"shard{shard_index}", {"v": shards[shard_index]})
             result = yield from dpu_filter.steps(
                 dpu, table.to_dpu(dpu), predicate, cores=job.fanout(dpu))
-            return int(result.detail["selected"]), result.cycles
+            return int(result.detail["selected"])
 
         return job.result(job.run_shards(
             compute, _merge_counts, nbytes_of=lambda partial: 8))
@@ -435,7 +460,8 @@ def cluster_groupby(
     if not isinstance(key, str):
         raise ValueError(
             "cluster_groupby shuffles on a single key column; composite "
-            "GroupKeys belong in pre-aggregating jobs (see cluster_tpch_q1)"
+            "GroupKeys belong in pre-aggregating jobs (see "
+            "cluster_compiled_query)"
         )
     with _Job(cluster, "groupby") as job:
         names = _needed_columns(key, aggs, _as_row_filter(row_filter))
@@ -445,11 +471,11 @@ def cluster_groupby(
         def compute(slot, dpu):
             columns = shuffled.columns[slot]
             if len(columns[key]) == 0:
-                return {}, 0.0
+                return {}
             local_table = Table(f"shuffle{slot}", columns).to_dpu(dpu)
             local = yield from dpu_groupby.steps(
                 dpu, local_table, key, aggs, row_filter=row_filter)
-            return local.value, local.cycles
+            return local.value
 
         return job.result(job.run_shards(
             compute, _merge_disjoint,
@@ -480,13 +506,13 @@ def cluster_partitioned_join_count(
             probe_columns = probe_shuffled.columns[slot]
             if (len(build_columns[build_key]) == 0
                     or len(probe_columns[probe_key]) == 0):
-                return 0, 0.0
+                return 0
             build_local = Table(f"build{slot}", build_columns).to_dpu(dpu)
             probe_local = Table(f"probe{slot}", probe_columns).to_dpu(dpu)
             local = yield from dpu_partitioned_join_count.steps(
                 dpu, build_local, build_key, probe_local, probe_key,
             )
-            return int(local.value), local.cycles
+            return int(local.value)
 
         return job.result(job.run_shards(
             compute, _merge_counts, nbytes_of=lambda partial: 8))
@@ -519,51 +545,13 @@ def cluster_topk(
             local = yield from dpu_topk.steps(
                 dpu, shards[shard_index].to_dpu(dpu), column, k)
             base = int(offsets[shard_index])
-            return ([(value, row + base) for value, row in local.value],
-                    local.cycles)
+            return [(value, row + base) for value, row in local.value]
 
         candidates = job.run_shards(
             compute, merge,
             nbytes_of=lambda partial: max(16 * len(partial), 8),
         )
         return job.result(sorted(candidates, reverse=True)[:k])
-
-
-def cluster_tpch_q1(
-    cluster: Cluster,
-    lineitem_shards: Sequence[Table],
-) -> ScaleOutResult:
-    """Distributed TPC-H Q1 over row-sharded lineitem.
-
-    Q1 groups into ~4 buckets, so each DPU runs the full local Q1 plan
-    on its shard and only the tiny partial group tables cross the
-    fabric, combined with the paper's merge operator
-    (:func:`~repro.apps.sql.aggregate.merge_groups`) — shuffling the
-    shards would move ~6 columns of lineitem to save a 4-row merge.
-    All Q1 aggregates are integer sums/counts, so the distributed
-    result is byte-equal to the single-DPU plan."""
-    _validate_shards(cluster, lineitem_shards, "lineitem shards")
-    key, aggs, row_filter = q1_plan()
-    record_bytes = 8 + 8 * len(aggs)
-
-    def merge(accumulator, partial):
-        if accumulator is None:
-            return merge_groups([partial], aggs)
-        return merge_groups([accumulator, partial], aggs)
-
-    with _Job(cluster, "tpch_q1") as job:
-
-        def compute(shard_index, dpu):
-            local = yield from dpu_groupby.steps(
-                dpu, lineitem_shards[shard_index].to_dpu(dpu),
-                key, aggs, row_filter=row_filter,
-            )
-            return local.value, local.cycles
-
-        return job.result(job.run_shards(
-            compute, merge,
-            nbytes_of=lambda partial: max(record_bytes * len(partial), 8),
-        ))
 
 
 def cluster_compiled_query(
@@ -623,15 +611,17 @@ def cluster_compiled_query(
                 (projected, compiled.key_column, compiled.needed_columns))
 
             def compute(slot, dpu):
-                return compiled.local_steps(
+                groups, _cycles = yield from compiled.local_steps(
                     dpu, shuffled.columns[slot], f"slot{slot}")
+                return groups
 
             merge = _merge_disjoint
         else:
 
             def compute(shard_index, dpu):
-                return compiled.local_steps(
+                groups, _cycles = yield from compiled.local_steps(
                     dpu, shards[shard_index].columns, f"shard{shard_index}")
+                return groups
 
             merge = merge_partials
 
@@ -692,18 +682,16 @@ def cluster_batched_queries(
         previous query left open can save up to one row miss per
         bank."""
         if not columns or len(next(iter(columns.values()))) == 0:
-            return [{} for _ in batch], 0.0
+            return [{} for _ in batch]
         table = Table(f"{fact}_{label}",
                       {name: columns[name] for name in union_names})
         dtable = table.to_dpu(dpu)
         partials = []
-        cycles = 0.0
         for compiled in batch:
-            groups, local_cycles = yield from compiled.local_steps(
+            groups, _cycles = yield from compiled.local_steps(
                 dpu, columns, label, resident=dtable)
             partials.append(groups)
-            cycles += local_cycles
-        return partials, cycles
+        return partials
 
     def merge(accumulator, partials):
         if accumulator is None:

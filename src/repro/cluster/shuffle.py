@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -114,11 +114,6 @@ class ShuffleResult:
 
     # Per destination DPU: the reassembled columns ({name: array}).
     columns: List[Dict[str, np.ndarray]]
-    # Partition phase: the slowest source DPU's partition kernel (the
-    # DPUs partition concurrently).
-    partition_cycles: float
-    # Span of the concurrent A9 all-to-all on the shared clock.
-    exchange_cycles: float
     rows_moved: int  # rows that crossed the fabric (self-partition excluded)
     bytes_moved: int
 
@@ -315,13 +310,11 @@ def shuffle_exchange(
         for src, (dpu, dtable) in enumerate(zip(cluster.dpus, dtables))
     ])
     partitions = [raws for raws, _cycles, _width, _dtypes in sources]
-    partition_cycles = max(cycles for _raws, cycles, _w, _d in sources)
 
     # Phase 2: concurrent all-to-all over the A9s/fabric. A rotated
     # schedule (src s sends to s+1, s+2, ...) avoids synchronized
     # bursts into one endpoint; receivers index by source so the
     # reassembly order is deterministic regardless of arrival order.
-    exchange_began = engine.now
     processes = []
     collectors = []
     for src, dpu in enumerate(cluster.dpus):
@@ -353,17 +346,12 @@ def shuffle_exchange(
         processes.append(collector)
         collectors.append(collector)
     cluster.run(processes)
-    exchange_cycles = engine.now - exchange_began
-    if cluster.metrics.enabled:
-        cluster.metrics.observe("shuffle.partition.cycles", partition_cycles)
-        cluster.metrics.observe("shuffle.exchange.cycles", exchange_cycles)
     return reassemble([collector.value for collector in collectors], names,
-                      sources[0][3], partition_cycles, exchange_cycles)
+                      sources[0][3])
 
 
 def reassemble(inbound: Sequence[Sequence[np.ndarray]], names: Sequence[str],
-               dtypes, partition_cycles: float,
-               exchange_cycles: float) -> ShuffleResult:
+               dtypes) -> ShuffleResult:
     """Phase 3 of an exchange, on either transport: each destination
     slot concatenates the row-major records ``inbound[dst][src]`` in
     source order (deterministic whatever the arrival order) and splits
@@ -381,8 +369,6 @@ def reassemble(inbound: Sequence[Sequence[np.ndarray]], names: Sequence[str],
         columns.append(dict(zip(names, _parse_records(raw_all, dtypes))))
     return ShuffleResult(
         columns=columns,
-        partition_cycles=partition_cycles,
-        exchange_cycles=exchange_cycles,
         rows_moved=bytes_moved // record_width,
         bytes_moved=bytes_moved,
     )
@@ -403,11 +389,12 @@ class ShuffleRackModel:
     scheme at 500+ endpoints.
 
     ``all_to_all=False`` models the pre-aggregating job family
-    (cluster_hll, cluster_tpch_q1): no repartition phase, only the
-    tiny partials cross the fabric. Those are the jobs the paper
-    scaled "across 500+ DPU clusters" — their speedup stays
-    near-linear because network volume is independent of the input
-    size, while a full shuffle eventually pays the all-to-all.
+    (cluster_hll, a ``pre_aggregate`` compiled query such as Q1): no
+    repartition phase, only the tiny partials cross the fabric. Those
+    are the jobs the paper scaled "across 500+ DPU clusters" — their
+    speedup stays near-linear because network volume is independent
+    of the input size, while a full shuffle eventually pays the
+    all-to-all.
     """
 
     total_rows: int

@@ -5,8 +5,9 @@ scan, join...) as its own process on the shared engine, so the DPUs
 overlap and meet only at the exchange and the gather. These tests pin
 the consequences:
 
-* fault-free, a job's ``cycles`` is its critical path:
-  ``detail["parallel_cycles"]`` plus the coordinator's admission wait;
+* a job's ``cycles`` is its critical path:
+  ``detail["parallel_cycles"]`` plus the coordinator's admission wait,
+  fault-free and under chaos;
 * a DPU's cycles in a concurrent run equal the synchronous operator's
   cycles on the same shard from the same start instant;
 * several shards on one DPU run back to back, never overlapping;
@@ -38,7 +39,6 @@ from repro.cluster import (
     cluster_hll,
     cluster_partitioned_join_count,
     cluster_topk,
-    cluster_tpch_q1,
     partition_source,
 )
 from repro.core import LaunchRequest
@@ -98,8 +98,9 @@ JOBS = {
     "join": lambda c, n, d: cluster_partitioned_join_count(
         c, _shard(d["build"], n, "b"), "k", _shard(d["probe"], n, "p"), "k"),
     "topk": lambda c, n, d: cluster_topk(c, _shard(d["topk"], n), "x", 25),
-    "tpch_q1": lambda c, n, d: cluster_tpch_q1(
-        c, _shard(d["lineitem"], n, "li")),
+    "tpch_q1": lambda c, n, d: cluster_compiled_query(
+        c, d["compiled"]["q1"], _shard(d["lineitem"], n, "li"),
+        "pre_aggregate"),
     "compiled_pre_aggregate": lambda c, n, d: cluster_compiled_query(
         c, d["compiled"]["q6"],
         _lineitem_shards(d, n, d["compiled"]["q6"].needed_columns),
@@ -131,6 +132,31 @@ class TestCriticalPath:
             assert detail["partition_cycles"] == 0.0
             assert detail["exchange_cycles"] == 0.0
             assert detail["gather_cycles"] == 0.0
+
+    # Under chaos the phases come off the same clock: re-executed and
+    # speculative computes count as partition/local, lease waits,
+    # resends and journal traffic as exchange/gather.
+    KILLS = {
+        "kill0_after_job": ChaosSpec("dpu.dead", (0,), at_cycle=1e12),
+        "kill0_early": ChaosSpec("dpu.dead", (0,), at_cycle=15_000.0),
+        "kill1_early": ChaosSpec("dpu.dead", (1,), at_cycle=15_000.0),
+    }
+
+    @pytest.mark.parametrize("kill", sorted(KILLS))
+    @pytest.mark.parametrize("num_dpus", [2, 4])
+    @pytest.mark.parametrize("job", sorted(JOBS))
+    def test_chaos_phases_add_up(self, inputs, job, num_dpus, kill):
+        plan = FaultPlan.none().with_chaos(self.KILLS[kill])
+        result = JOBS[job](Cluster(num_dpus, fault_plan=plan), num_dpus,
+                           inputs)
+        assert result.recovery is not None
+        detail = result.detail
+        for phase in ("partition_cycles", "exchange_cycles",
+                      "local_cycles", "gather_cycles"):
+            assert detail[phase] >= 0.0
+        assert result.cycles == pytest.approx(
+            detail["parallel_cycles"] + detail["admission_cycles"],
+            rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("job", ["filter_count", "groupby", "batched"])
     def test_admission_wait_is_the_remainder(self, inputs, job):
@@ -214,13 +240,13 @@ class TestPerDpuCycles:
 
     def test_job_local_phase_is_the_slowest_dpu(self, inputs):
         shards = _shard(inputs["lineitem"], 4, "li")
-        result = cluster_tpch_q1(Cluster(4), shards)
-        key, aggs, row_filter = q1_plan()
+        q1 = inputs["compiled"]["q1"]
+        result = cluster_compiled_query(Cluster(4), q1, shards,
+                                        "pre_aggregate")
         alone = []
         for i, shard in enumerate(shards):
             dpu = Cluster(4).dpus[i]
-            alone.append(dpu_groupby(dpu, shard.to_dpu(dpu), key, aggs,
-                                     row_filter=row_filter).cycles)
+            alone.append(q1.run_local(dpu, shard.columns, f"shard{i}")[1])
         assert result.detail["local_cycles"] == pytest.approx(
             max(alone), rel=1e-12, abs=0.0)
         # The serial sum is what the job used to report for this phase.
@@ -266,10 +292,11 @@ class TestSameDpuRunsBackToBack:
         cluster = Cluster(4, fault_plan=plan)
         tracer = cluster.enable_tracing(capacity=1 << 18)
         shards = _shard(inputs["lineitem"], 4, "li")
-        first = cluster_tpch_q1(cluster, shards)
+        q1 = inputs["compiled"]["q1"]
+        first = cluster_compiled_query(cluster, q1, shards, "pre_aggregate")
         assert first.recovery.declared_dead == (3,)
         second_began = cluster.engine.now
-        second = cluster_tpch_q1(cluster, shards)
+        second = cluster_compiled_query(cluster, q1, shards, "pre_aggregate")
         assert second.value == first.value
         assert second.recovery.reexecuted_shards == 1
         payload = tracer.to_chrome()
@@ -383,7 +410,8 @@ class TestObservability:
         cluster = Cluster(4)
         tracer = cluster.enable_tracing(capacity=1 << 18)
         hub = cluster.enable_metrics(cadence=5000.0)
-        cluster_tpch_q1(cluster, shards)
+        q1 = inputs["compiled"]["q1"]
+        cluster_compiled_query(cluster, q1, shards, "pre_aggregate")
         payload = tracer.to_chrome()
         assert validate_chrome_trace(payload) == []
         groupby = sorted(
@@ -397,10 +425,7 @@ class TestObservability:
         single = Cluster(1)
         single_tracer = single.enable_tracing()
         single_hub = single.enable_metrics(cadence=5000.0)
-        key, aggs, row_filter = q1_plan()
-        dpu = single.dpus[0]
-        dpu_groupby(dpu, shards[0].to_dpu(dpu), key, aggs,
-                    row_filter=row_filter)
+        q1.run_local(single.dpus[0], shards[0].columns)
 
         def names(payload):
             return {event["name"] for event in payload["traceEvents"]

@@ -11,18 +11,18 @@ existed along the way.
 import numpy as np
 import pytest
 
-from repro.apps.sql import Table
+from repro.apps.sql import Table, compile_query, load_query, tpch_catalog
 from repro.apps.sql.aggregate import AggSpec
 from repro.cluster import (
     Cluster,
     ClusterError,
     RecoveryConfig,
+    cluster_compiled_query,
     cluster_filter_count,
     cluster_groupby,
     cluster_hll,
     cluster_partitioned_join_count,
     cluster_topk,
-    cluster_tpch_q1,
 )
 from repro.faults import ChaosSpec, FaultError, FaultPlan
 from repro.sim import Engine, Store
@@ -53,7 +53,7 @@ AGGS = [AggSpec("sum", "v"), AggSpec("count")]
 @pytest.fixture(scope="module")
 def datasets():
     rng = np.random.default_rng(3)
-    lineitem = generate_tpch(scale=0.005, seed=42).tables["lineitem"]
+    tpch = generate_tpch(scale=0.005, seed=42)
     return {
         "values": rng.integers(0, 1000, 8000, dtype=np.int64),
         "hll": rng.integers(0, 1 << 40, 30_000, dtype=np.uint64),
@@ -64,7 +64,8 @@ def datasets():
         "build": {"k": rng.integers(0, 500, 4000).astype(np.uint32)},
         "probe": {"k": rng.integers(0, 500, 6000).astype(np.uint32)},
         "topk": {"x": rng.permutation(16_000).astype(np.uint32)},
-        "lineitem": lineitem,
+        "lineitem": tpch.tables["lineitem"],
+        "q1": compile_query(load_query("q1"), tpch_catalog(tpch), "q1"),
     }
 
 
@@ -81,8 +82,8 @@ def _jobs(d):
             _shard(d["probe"], n, "p"), "k"),
         "topk": lambda c, n: cluster_topk(
             c, _shard(d["topk"], n), "x", 25),
-        "tpch_q1": lambda c, n: cluster_tpch_q1(
-            c, _shard(d["lineitem"], n, "li")),
+        "tpch_q1": lambda c, n: cluster_compiled_query(
+            c, d["q1"], _shard(d["lineitem"], n, "li"), "pre_aggregate"),
     }
 
 

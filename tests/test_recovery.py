@@ -11,18 +11,18 @@ fault-free single-DPU reference.
 import numpy as np
 import pytest
 
-from repro.apps.sql import Table
+from repro.apps.sql import Table, compile_query, load_query, tpch_catalog
 from repro.apps.sql.aggregate import AggSpec, dpu_groupby
 from repro.cluster import (
     Cluster,
     ClusterError,
     RecoveryConfig,
+    cluster_compiled_query,
     cluster_filter_count,
     cluster_groupby,
     cluster_hll,
     cluster_partitioned_join_count,
     cluster_topk,
-    cluster_tpch_q1,
 )
 from repro.core.config import DPU_40NM
 from repro.core.dpu import DPU
@@ -454,12 +454,14 @@ class TestEveryJobSurvivesKill:
     def test_tpch_q1(self):
         data = generate_tpch(scale=0.005, seed=42)
         lineitem = data.tables["lineitem"]
-        reference = cluster_tpch_q1(
-            Cluster(1), _shard(lineitem, 1, "lineitem")
+        q1 = compile_query(load_query("q1"), tpch_catalog(data), "q1")
+        reference = cluster_compiled_query(
+            Cluster(1), q1, _shard(lineitem, 1, "lineitem"), "pre_aggregate"
         ).value
         cluster = Cluster(self.NUM_DPUS, fault_plan=_kill_plan())
-        result = cluster_tpch_q1(
-            cluster, _shard(lineitem, self.NUM_DPUS, "lineitem")
+        result = cluster_compiled_query(
+            cluster, q1, _shard(lineitem, self.NUM_DPUS, "lineitem"),
+            "pre_aggregate",
         )
         assert result.value == reference
         assert result.recovery.declared_dead == (1,)

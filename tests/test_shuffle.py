@@ -5,17 +5,16 @@ jobs (paper §4): shuffle correctness, byte-exact distributed SQL at
 import numpy as np
 import pytest
 
-from repro.apps.sql import Table
+from repro.apps.sql import Table, compile_query, load_query, tpch_catalog
 from repro.apps.sql.aggregate import AggSpec, GroupKey, dpu_groupby
 from repro.apps.sql.join import dpu_partitioned_join_count
 from repro.apps.sql.topk import dpu_topk
-from repro.apps.sql.tpch_queries import q1_plan
 from repro.cluster import (
     Cluster,
     cluster_groupby,
     cluster_partitioned_join_count,
+    cluster_compiled_query,
     cluster_topk,
-    cluster_tpch_q1,
     shuffle_cids,
     shuffle_exchange,
     shuffle_spec,
@@ -187,25 +186,25 @@ class TestClusterTopk:
         assert result.value == reference
 
 
+def _compiled_q1(data):
+    return compile_query(load_query("q1"), tpch_catalog(data), "q1")
+
+
 class TestClusterTpchQ1:
     @pytest.fixture(scope="class")
     def q1_setup(self):
         data = generate_tpch(scale=0.005, seed=42)
-        lineitem = data.tables["lineitem"]
-        single = DPU(DPU_40NM)
-        key, aggs, row_filter = q1_plan()
-        reference = dpu_groupby(
-            single, Table("lineitem", lineitem).to_dpu(single),
-            key, aggs, row_filter=row_filter,
-        ).value
-        return lineitem, reference
+        q1 = _compiled_q1(data)
+        reference = q1.run_dpu(DPU(DPU_40NM), data).value
+        return data.tables["lineitem"], q1, reference
 
     @pytest.mark.parametrize("num_dpus", [2, 4, 8])
     def test_byte_equal_to_single_dpu(self, q1_setup, num_dpus):
-        lineitem, reference = q1_setup
+        lineitem, q1, reference = q1_setup
         cluster = Cluster(num_dpus)
-        result = cluster_tpch_q1(
-            cluster, _shard(lineitem, num_dpus, "lineitem")
+        result = cluster_compiled_query(
+            cluster, q1, _shard(lineitem, num_dpus, "lineitem"),
+            "pre_aggregate",
         )
         assert result.value == reference
         # Pre-aggregation strategy: only group-table partials cross
@@ -239,11 +238,13 @@ class TestFaultyCluster:
     def test_tpch_q1_exact_under_drops(self):
         data = generate_tpch(scale=0.002, seed=42)
         shards = _shard(data.tables["lineitem"], 2, "lineitem")
-        clean = cluster_tpch_q1(Cluster(2), shards)
-        faulty = cluster_tpch_q1(
+        q1 = _compiled_q1(data)
+        clean = cluster_compiled_query(Cluster(2), q1, shards,
+                                       "pre_aggregate")
+        faulty = cluster_compiled_query(
             Cluster(2, fault_plan=FaultPlan(seed=7,
                                             rates={"net.drop": 0.6})),
-            shards,
+            q1, shards, "pre_aggregate",
         )
         assert faulty.value == clean.value
         assert faulty.retransmissions > 0
